@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator substrates:
- * cache access, TLB/MMU translation, Cheetah stack simulation, the
+ * cache access, TLB/MMU translation, Cheetah stack simulation
+ * (single-shape and the one-pass sweep replay), the
  * synthetic trace generator, and a full machine step. The paper's
  * methodology contrast — kernel-based simulation at millions of
  * references per second vs trace-driven at tens of thousands — is
@@ -12,6 +13,8 @@
 
 #include <chrono>
 #include <filesystem>
+#include <map>
+#include <memory>
 
 #include <unistd.h>
 
@@ -19,6 +22,7 @@
 #include "cache/bank.hh"
 #include "cache/cheetah.hh"
 #include "cache/replay.hh"
+#include "core/component.hh"
 #include "core/search.hh"
 #include "machine/machine.hh"
 #include "store/codec.hh"
@@ -383,6 +387,85 @@ BM_ReplayKernel(benchmark::State &state)
                             int64_t(3 * trace.size()));
 }
 BENCHMARK(BM_ReplayKernel)
+    ->Arg(0)
+    ->Arg(1)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * The one-pass comparison: every Table 5 I-cache and D-cache slot
+ * (240 configurations) replayed per configuration through
+ * makeComponent() + replayComponent() vs scored by one Cheetah pass
+ * per (kind, line size) through replayOnePass(), over the same
+ * recording. Arg(0) (per-config) is registered before Arg(1)
+ * (one-pass) so the one-pass run can report its measured speedup;
+ * the run report gains the `replay/onepass_speedup_vs_per_config`
+ * gauge the CI replay-equivalence job gates on.
+ */
+void
+BM_OnePassCacheReplay(benchmark::State &state)
+{
+    static double per_config_seconds = 0.0;
+    const RecordedTrace &trace = replayKernelTrace();
+    const bool one_pass = state.range(0) != 0;
+    const std::vector<CacheGeometry> grid =
+        ConfigSpace().cacheGeometries();
+    std::map<std::uint64_t, std::vector<CacheGeometry>> by_line;
+    for (const CacheGeometry &geom : grid)
+        by_line[geom.lineBytes].push_back(geom);
+    const MachineParams machine = MachineParams::decstation3100();
+
+    const auto t0 = std::chrono::steady_clock::now();
+    for (auto _ : state) {
+        std::uint64_t misses = 0;
+        for (const ComponentKind kind :
+             {ComponentKind::ICache, ComponentKind::DCache}) {
+            if (one_pass) {
+                for (const auto &[line, geoms] : by_line) {
+                    for (const CacheStats &s :
+                         replayOnePass(trace, kind, geoms))
+                        misses += s.totalMisses();
+                }
+                continue;
+            }
+            for (const CacheGeometry &geom : grid) {
+                CacheParams p;
+                p.geom = geom;
+                const std::unique_ptr<ComponentReplayer> component =
+                    makeComponent(kind == ComponentKind::ICache
+                                      ? ComponentSlot::icache(p)
+                                      : ComponentSlot::dcache(p),
+                                  machine);
+                replayComponent(trace, *component);
+                misses += std::get<CacheStats>(component->counters())
+                              .totalMisses();
+            }
+        }
+        benchmark::DoNotOptimize(misses);
+    }
+    const double per_iter = state.iterations()
+        ? std::chrono::duration<double>(
+              std::chrono::steady_clock::now() - t0)
+                .count() /
+            double(state.iterations())
+        : 0.0;
+
+    state.counters["one_pass"] = one_pass ? 1.0 : 0.0;
+    if (!one_pass) {
+        per_config_seconds = per_iter;
+    } else if (per_config_seconds > 0.0 && per_iter > 0.0) {
+        const double speedup = per_config_seconds / per_iter;
+        state.counters["speedup_vs_per_config"] = speedup;
+        if (g_report != nullptr) {
+            g_report->metrics().set(
+                "replay/onepass_speedup_vs_per_config", speedup);
+        }
+    }
+    // Configuration-references scored per iteration.
+    state.SetItemsProcessed(state.iterations() *
+                            int64_t(2 * grid.size() * trace.size()));
+}
+BENCHMARK(BM_OnePassCacheReplay)
     ->Arg(0)
     ->Arg(1)
     ->UseRealTime()

@@ -17,6 +17,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "cache/cheetah.hh"
 #include "store/codec.hh"
 #include "support/logging.hh"
 #include "tlb/mips_va.hh"
@@ -118,9 +119,41 @@ namespace
 {
 
 /**
+ * Compact one chunk to the stream a cache sees: the fetch paddrs
+ * (@p fetch_stream), or the cached-data paddrs with their flags
+ * (kseg1 references bypass the cache). cache/replay.cc compacts
+ * identically.
+ */
+void
+compactCacheStream(const TraceChunkView &chunk, bool fetch_stream,
+                   std::vector<std::uint32_t> &paddr,
+                   std::vector<std::uint8_t> &flags)
+{
+    paddr.clear();
+    flags.clear();
+    if (fetch_stream) {
+        for (std::size_t i = 0; i < chunk.size; ++i) {
+            const RefKind kind =
+                RefKind(chunk.flags[i] & RecordedTrace::kindMask);
+            if (kind == RefKind::IFetch)
+                paddr.push_back(chunk.paddr[i]);
+        }
+        return;
+    }
+    for (std::size_t i = 0; i < chunk.size; ++i) {
+        const RefKind kind =
+            RefKind(chunk.flags[i] & RecordedTrace::kindMask);
+        if (kind != RefKind::IFetch &&
+            !isUncached(std::uint64_t(chunk.vaddr[i]))) {
+            paddr.push_back(chunk.paddr[i]);
+            flags.push_back(chunk.flags[i]);
+        }
+    }
+}
+
+/**
  * Cache adapter: the fetch stream (ICache) or the cached-data stream
- * (DCache) through a Cache's batched kernels, exactly as the classic
- * sweep legs run them (cache/replay.cc compacts identically).
+ * (DCache) through a Cache's batched kernels.
  */
 class CacheComponent final : public ComponentReplayer
 {
@@ -151,29 +184,12 @@ class CacheComponent final : public ComponentReplayer
     void
     replay(const TraceChunkView &chunk) override
     {
-        _paddr.clear();
-        if (_fetchStream) {
-            for (std::size_t i = 0; i < chunk.size; ++i) {
-                const RefKind kind =
-                    RefKind(chunk.flags[i] & RecordedTrace::kindMask);
-                if (kind == RefKind::IFetch)
-                    _paddr.push_back(chunk.paddr[i]);
-            }
+        compactCacheStream(chunk, _fetchStream, _paddr, _flags);
+        if (_fetchStream)
             _cache.replayFetchBatch(_paddr.data(), _paddr.size());
-        } else {
-            _flags.clear();
-            for (std::size_t i = 0; i < chunk.size; ++i) {
-                const RefKind kind =
-                    RefKind(chunk.flags[i] & RecordedTrace::kindMask);
-                if (kind != RefKind::IFetch &&
-                    !isUncached(std::uint64_t(chunk.vaddr[i]))) {
-                    _paddr.push_back(chunk.paddr[i]);
-                    _flags.push_back(chunk.flags[i]);
-                }
-            }
+        else
             _cache.replayDataBatch(_paddr.data(), _flags.data(),
                                    _paddr.size());
-        }
         _delivered += _paddr.size();
     }
 
@@ -473,6 +489,47 @@ makeComponent(const ComponentSlot &slot,
             std::get<HierarchyParams>(slot.params));
     }
     fatal("unknown component kind");
+}
+
+bool
+onePassEligible(const ComponentSlot &slot)
+{
+    return (slot.kind == ComponentKind::ICache ||
+            slot.kind == ComponentKind::DCache) &&
+        Cheetah::exactFor(std::get<CacheParams>(slot.params));
+}
+
+std::vector<CacheStats>
+replayOnePass(const RecordedTrace &trace, ComponentKind kind,
+              const std::vector<CacheGeometry> &geoms,
+              std::uint64_t *delivered)
+{
+    panicIf(kind != ComponentKind::ICache &&
+                kind != ComponentKind::DCache,
+            "replayOnePass: only I-cache and D-cache slots");
+    const bool fetch_stream = kind == ComponentKind::ICache;
+    Cheetah engine = Cheetah::covering(geoms);
+    std::vector<std::uint32_t> paddr;
+    std::vector<std::uint8_t> flags;
+    paddr.reserve(RecordedTrace::chunkRefs);
+    if (!fetch_stream)
+        flags.reserve(RecordedTrace::chunkRefs);
+    for (std::size_t c = 0; c < trace.numChunks(); ++c) {
+        compactCacheStream(trace.chunkView(c), fetch_stream, paddr,
+                           flags);
+        if (fetch_stream)
+            engine.replayFetchBatch(paddr.data(), paddr.size());
+        else
+            engine.replayDataBatch(paddr.data(), flags.data(),
+                                   paddr.size());
+    }
+    if (delivered != nullptr)
+        *delivered = engine.accesses();
+    std::vector<CacheStats> stats;
+    stats.reserve(geoms.size());
+    for (const CacheGeometry &geom : geoms)
+        stats.push_back(engine.stats(geom));
+    return stats;
 }
 
 std::uint64_t

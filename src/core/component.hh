@@ -38,6 +38,7 @@
 #include <string>
 #include <string_view>
 #include <variant>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
@@ -179,6 +180,31 @@ makeComponent(const ComponentSlot &slot,
  */
 std::uint64_t replayComponent(const RecordedTrace &trace,
                               ComponentReplayer &component);
+
+/**
+ * True when the one-pass engine reproduces @p slot's per-config
+ * counters exactly: an I-cache or D-cache slot whose parameters
+ * satisfy Cheetah::exactFor() (LRU, write-through, write-allocate).
+ */
+[[nodiscard]] bool onePassEligible(const ComponentSlot &slot);
+
+/**
+ * One-pass replay of cache slots that share a kind (ICache or DCache)
+ * and a line size: the kind's stream runs once through one Cheetah
+ * engine covering every geometry of @p geoms, and each geometry's
+ * CacheStats is derived from the stack-depth histograms. Every slot
+ * must be onePassEligible(); its counters are then bitwise-identical
+ * to makeComponent() + replayComponent()
+ * (tests/cache/test_onepass_differential.cc).
+ *
+ * @param delivered When non-null, receives the references the pass
+ *        consumed (the kind's filtered stream length).
+ * @return One CacheStats per geometry, index-aligned with @p geoms.
+ */
+[[nodiscard]] std::vector<CacheStats>
+replayOnePass(const RecordedTrace &trace, ComponentKind kind,
+              const std::vector<CacheGeometry> &geoms,
+              std::uint64_t *delivered = nullptr);
 
 /**
  * Scalar reference replay: every reference through access(), one at

@@ -5,7 +5,9 @@
 
 #include "core/sweep.hh"
 
+#include <map>
 #include <memory>
+#include <utility>
 
 #include "obs/export.hh"
 #include "store/codec.hh"
@@ -169,19 +171,21 @@ ComponentSweep::replayTrace(const RecordedTrace &trace,
                             const ArtifactStore *store,
                             const Fingerprint &base_key) const
 {
-    // Phase 2 (parallel): replay per consumer. One flat index space
+    // Phase 2 (parallel): replay per consumer. One flat task space
     // across the reference machine and every component slot keeps
-    // every lane busy; each index owns its private simulator and
-    // writes only its own result slot, so the reduction order is
+    // every lane busy; each task owns its private simulators and
+    // writes only its own slots' results, so the reduction order is
     // fixed by construction and the results are bitwise identical
-    // for any thread count. Every component streams the packed trace
-    // columns through its batched replay body (core/component.hh) —
-    // the same access body as the scalar path, so batching cannot
-    // change any counter. With the store enabled, each task first
-    // tries to load its shard (exact integer counters, so a hit
-    // reproduces the live slot bit-for-bit) and persists it right
-    // after simulating — which is what makes a killed sweep resume
-    // at its last completed shard.
+    // for any thread count. Slots the one-pass engine scores exactly
+    // (onePassEligible: LRU write-through write-allocate I-/D-caches)
+    // are grouped by (kind, line size) into one task that replays
+    // the stream once through a Cheetah engine; every other slot
+    // streams the packed trace columns through its own batched
+    // replay body (core/component.hh). With the store enabled, every
+    // slot first tries to load its shard (exact integer counters, so
+    // a hit reproduces the live slot bit-for-bit) and persists it
+    // right after simulating — which is what makes a killed sweep
+    // resume at its last completed shard.
     const std::size_t n_slots = _slots.size();
 
     SweepResult result;
@@ -217,8 +221,38 @@ ComponentSweep::replayTrace(const RecordedTrace &trace,
         }
     }
 
-    // Per-task metric shards: each task writes only its own slot, so
-    // the post-loop merge (in task order) is a pure function of the
+    // Task plan: task 0 replays the reference machine, each one-pass
+    // group is one task (created where its first slot appears), and
+    // every other slot is a task of its own.
+    struct ReplayTask
+    {
+        std::vector<std::size_t> slots;
+        bool onePass = false;
+    };
+    std::vector<ReplayTask> tasks(1);
+    {
+        std::map<std::pair<ComponentKind, std::uint64_t>, std::size_t>
+            group_task;
+        for (std::size_t s = 0; s < n_slots; ++s) {
+            const ComponentSlot &slot = _slots[s];
+            if (!onePassEligible(slot)) {
+                tasks.push_back({{s}, false});
+                continue;
+            }
+            const auto [it, fresh] = group_task.emplace(
+                std::make_pair(
+                    slot.kind,
+                    std::get<CacheParams>(slot.params).geom.lineBytes),
+                tasks.size());
+            if (fresh)
+                tasks.push_back({{}, true});
+            tasks[it->second].slots.push_back(s);
+        }
+    }
+
+    // Per-slot metric shards (index 0 = reference machine, 1 + s =
+    // slot s): each task writes only its own slots' shards, so the
+    // post-loop merge (in slot order) is a pure function of the
     // work — never of the schedule or lane count.
     std::vector<obs::MetricRegistry> shards(
         observation != nullptr ? 1 + n_slots : 0);
@@ -234,6 +268,104 @@ ComponentSweep::replayTrace(const RecordedTrace &trace,
                                const std::string &payload) {
         if (store != nullptr)
             store->put(key, payload);
+    };
+    const auto tick = [&] {
+        if (observation != nullptr && observation->progress != nullptr)
+            observation->progress->tick();
+    };
+
+    // The shard key reproduces the historical per-kind keys exactly
+    // (kind name + per-kind index + parameter fingerprint, plus the
+    // TLB handler penalties for TLB slots), so stores written by
+    // earlier engines — per-config or one-pass — stay warm.
+    const auto slotKey = [&](std::size_t s) {
+        const ComponentSlot &slot = _slots[s];
+        Fingerprint key = base_key;
+        key.str("artifact", "shard");
+        key.str("component", componentKindName(slot.kind));
+        key.u64("index", kind_index[s]);
+        slot.fingerprint(key);
+        if (slot.kind == ComponentKind::Tlb)
+            _refMachine.tlbPenalties.fingerprint(key);
+        return key;
+    };
+    const auto loadSlot = [&](std::size_t s, const Fingerprint &key) {
+        ComponentCounters counters;
+        if (!loadShard(key, [&](const std::string &p) {
+                return decodeComponentCounters(p, _slots[s].kind,
+                                               counters);
+            }))
+            return false;
+        result._stats[s] = counters;
+        return true;
+    };
+    // Record slot s's counters (already in result._stats) and tick.
+    const auto finishSlot = [&](std::size_t s) {
+        if (observation != nullptr)
+            obs::exportComponentCounters(
+                shards[1 + s], componentKindName(_slots[s].kind),
+                result._stats[s]);
+        tick();
+    };
+
+    const auto replayPerConfig = [&](std::size_t s) {
+        const Fingerprint key = slotKey(s);
+        if (!loadSlot(s, key)) {
+            const std::unique_ptr<ComponentReplayer> component =
+                makeComponent(_slots[s], _refMachine);
+            replayComponent(trace, *component);
+            result._stats[s] = component->counters();
+            saveShard(key, encodeComponentCounters(result._stats[s]));
+            if (observation != nullptr) {
+                shards[1 + s].add("replay/batched_refs",
+                                  component->delivered());
+                shards[1 + s].add("replay/per_config_slots");
+            }
+        }
+        finishSlot(s);
+    };
+
+    const auto replayGroup = [&](const std::vector<std::size_t> &slots) {
+        // Every slot gets its one store read; one pass then derives
+        // the missing slots only, and only their shards are written.
+        std::vector<std::size_t> missing;
+        std::vector<Fingerprint> missing_keys;
+        for (const std::size_t s : slots) {
+            Fingerprint key = slotKey(s);
+            if (loadSlot(s, key)) {
+                finishSlot(s);
+            } else {
+                missing.push_back(s);
+                missing_keys.push_back(std::move(key));
+            }
+        }
+        if (missing.empty())
+            return;
+        std::vector<CacheGeometry> geoms;
+        for (const std::size_t s : missing)
+            geoms.push_back(std::get<CacheParams>(_slots[s].params).geom);
+
+        // Pass-level metrics land in the first derived slot's shard.
+        obs::MetricRegistry *m =
+            observation != nullptr ? &shards[1 + missing.front()]
+                                   : nullptr;
+        std::unique_ptr<obs::Span> span;
+        if (m != nullptr)
+            span = std::make_unique<obs::Span>(*m, "sweep/replay/onepass");
+        std::uint64_t delivered = 0;
+        const std::vector<CacheStats> stats = replayOnePass(
+            trace, _slots[missing.front()].kind, geoms, &delivered);
+        span.reset();
+        if (m != nullptr) {
+            m->add("replay/onepass_passes");
+            m->add("replay/onepass_slots", missing.size());
+            m->add("replay/batched_refs", delivered);
+        }
+        for (std::size_t i = 0; i < missing.size(); ++i) {
+            result._stats[missing[i]] = stats[i];
+            saveShard(missing_keys[i], encodeComponentCounters(stats[i]));
+            finishSlot(missing[i]);
+        }
     };
 
     std::uint64_t wb_stall = 0;
@@ -279,48 +411,14 @@ ComponentSweep::replayTrace(const RecordedTrace &trace,
                                                shard.wbStores,
                                                shard.wbStallCycles);
             }
+            tick();
+        } else if (tasks[task].onePass) {
+            replayGroup(tasks[task].slots);
         } else {
-            // Component replay: every kind runs through the one
-            // replayable-component surface. The shard key reproduces
-            // the historical per-kind keys exactly (kind name +
-            // per-kind index + parameter fingerprint, plus the TLB
-            // handler penalties for TLB slots), so stores written by
-            // the three-legged engine stay warm.
-            const std::size_t s = task - 1;
-            const ComponentSlot &slot = _slots[s];
-            Fingerprint key = base_key;
-            key.str("artifact", "shard");
-            key.str("component", componentKindName(slot.kind));
-            key.u64("index", kind_index[s]);
-            slot.fingerprint(key);
-            if (slot.kind == ComponentKind::Tlb)
-                _refMachine.tlbPenalties.fingerprint(key);
-
-            ComponentCounters counters;
-            if (!loadShard(key, [&](const std::string &p) {
-                    return decodeComponentCounters(p, slot.kind,
-                                                   counters);
-                })) {
-                const std::unique_ptr<ComponentReplayer> component =
-                    makeComponent(slot, _refMachine);
-                replayComponent(trace, *component);
-                counters = component->counters();
-                saveShard(key, encodeComponentCounters(counters));
-                if (observation != nullptr)
-                    shards[task].add("replay/batched_refs",
-                                     component->delivered());
-            }
-            result._stats[s] = counters;
-            if (observation != nullptr)
-                obs::exportComponentCounters(
-                    shards[task], componentKindName(slot.kind),
-                    counters);
+            replayPerConfig(tasks[task].slots.front());
         }
-        if (observation != nullptr && observation->progress != nullptr)
-            observation->progress->tick();
     };
 
-    const std::size_t n_tasks = 1 + n_slots;
     if (observation != nullptr) {
         // Run on an explicit pool so its work counters can be
         // exported alongside the component metrics.
@@ -328,7 +426,7 @@ ComponentSweep::replayTrace(const RecordedTrace &trace,
         {
             obs::Span span(m, "sweep/replay");
             ThreadPool pool(threads);
-            pool.parallelFor(0, n_tasks, body);
+            pool.parallelFor(0, tasks.size(), body);
             obs::exportThreadPool(m, "threadpool", pool);
         }
         for (const obs::MetricRegistry &shard : shards)
@@ -336,7 +434,7 @@ ComponentSweep::replayTrace(const RecordedTrace &trace,
         obs::exportRecordedTrace(m, "trace", trace);
         m.add("sweep/replays");
     } else {
-        parallelFor(threads, 0, n_tasks, body);
+        parallelFor(threads, 0, tasks.size(), body);
     }
 
     const double instr =

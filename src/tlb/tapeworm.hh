@@ -7,8 +7,14 @@
  * alternative TLB configurations on line [Uhlig93]. Our equivalent
  * consumes the reference stream of the modelled machine and maintains
  * one independent Mmu (TLB + page metadata) per configuration, plus a
- * fast fully-associative size sweep built on the Cheetah stack
- * simulator that mirrors Tapeworm's "one pass, many sizes" use.
+ * fast fully-associative size sweep (FaTlbSweep) that applies the
+ * LRU-inclusion stack-distance idea of the Cheetah cache engine
+ * (cache/cheetah.hh) to mirror Tapeworm's "one pass, many sizes" use.
+ * FaTlbSweep yields raw miss curves only: a full Mmu refill inserts a
+ * page-table-page entry on a miss, so the stream a TLB sees depends on
+ * its own geometry, inclusion does not hold, and the sweep engine
+ * replays every TLB configuration on its own Mmu (docs/MODEL.md,
+ * "One-pass cache replay").
  */
 
 #ifndef OMA_TLB_TAPEWORM_HH

@@ -1,0 +1,195 @@
+/**
+ * @file
+ * oma_serve socket-transport robustness: the daemon binary itself,
+ * driven over its Unix-domain socket.
+ *
+ * A client that sends a request and closes before reading the reply
+ * must not kill the daemon (it used to die of SIGPIPE, exit 141): the
+ * failure is counted in `serve/client_errors`, and the next
+ * well-formed query gets the byte-identical answer a clean run gives.
+ */
+
+#include <gtest/gtest.h>
+
+#include <chrono>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <thread>
+
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include "api/request.hh"
+#include "tests/obs/jsonlite.hh"
+
+namespace oma::api
+{
+namespace
+{
+
+namespace fs = std::filesystem;
+
+std::string
+scratchDir(const std::string &name)
+{
+    const std::string root = testing::TempDir() + "/oma_sock_" + name +
+        "." + std::to_string(::getpid());
+    fs::remove_all(root);
+    fs::create_directories(root);
+    return root;
+}
+
+/** A small real allocation query. */
+std::string
+queryLine()
+{
+    AllocationRequest request;
+    request.workloads = {BenchmarkId::Mab};
+    request.references = 20000;
+    request.space.tlbEntries = {64};
+    request.space.tlbWays = {1};
+    request.space.tlbFullAssocMax = 64;
+    request.space.cacheKBytes = {2, 4};
+    request.space.lineWords = {4};
+    request.space.cacheWays = {1, 2};
+    request.topK = 3;
+    request.threads = 1;
+    return encodeRequest(request);
+}
+
+/** Connected client socket on @p path, or -1. */
+int
+connectTo(const std::string &path)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    // oma-lint: allow(cast-audit): POSIX connect takes the generic
+    // sockaddr view of sockaddr_un.
+    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                  sizeof addr) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+bool
+sendAll(int fd, const std::string &data)
+{
+    std::size_t done = 0;
+    while (done < data.size()) {
+        const ssize_t n = ::send(fd, data.data() + done,
+                                 data.size() - done, MSG_NOSIGNAL);
+        if (n <= 0)
+            return false;
+        done += std::size_t(n);
+    }
+    return true;
+}
+
+/** One well-behaved exchange: send, half-close, read to EOF. */
+std::string
+ask(const std::string &path, const std::string &text)
+{
+    const int fd = connectTo(path);
+    EXPECT_GE(fd, 0) << "daemon is not accepting on " << path;
+    if (fd < 0)
+        return {};
+    EXPECT_TRUE(sendAll(fd, text));
+    ::shutdown(fd, SHUT_WR);
+    std::string reply;
+    char buf[4096];
+    ssize_t n = 0;
+    while ((n = ::read(fd, buf, sizeof buf)) > 0)
+        reply.append(buf, std::size_t(n));
+    ::close(fd);
+    return reply;
+}
+
+/** The answer `oma_serve --once` gives @p line on a fresh store. */
+std::string
+onceAnswer(const std::string &line)
+{
+    const std::string dir = scratchDir("once");
+    const std::string in_path = dir + "/request.ndjson";
+    {
+        std::ofstream in(in_path, std::ios::binary);
+        in << line << '\n';
+    }
+    const std::string command = "OMA_RUN_REPORT=0 '" OMA_SERVE_BIN
+        "' --once --store-dir '" + dir + "/store' < '" + in_path +
+        "' 2>/dev/null";
+    FILE *pipe = ::popen(command.c_str(), "r");
+    EXPECT_NE(pipe, nullptr);
+    std::string output;
+    char buffer[4096];
+    std::size_t got = 0;
+    while ((got = std::fread(buffer, 1, sizeof buffer, pipe)) > 0)
+        output.append(buffer, got);
+    EXPECT_EQ(::pclose(pipe), 0);
+    fs::remove_all(dir);
+    return output;
+}
+
+TEST(ServeSocket, EarlyHangUpDoesNotKillTheDaemon)
+{
+    const std::string dir = scratchDir("hangup");
+    const std::string sock = dir + "/serve.sock";
+    const std::string line = queryLine();
+
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        ::setenv("OMA_RUN_REPORT_DIR", dir.c_str(), 1);
+        ::unsetenv("OMA_RUN_REPORT");
+        ::execl(OMA_SERVE_BIN, OMA_SERVE_BIN, "--socket", sock.c_str(),
+                "--store-dir", (dir + "/store").c_str(),
+                static_cast<char *>(nullptr));
+        ::_exit(127);
+    }
+    for (int i = 0; i < 200 && !fs::exists(sock); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ASSERT_TRUE(fs::exists(sock));
+
+    // The rude client: request sent, connection closed unread.
+    {
+        const int fd = connectTo(sock);
+        ASSERT_GE(fd, 0);
+        ASSERT_TRUE(sendAll(fd, line + "\n"));
+        ::close(fd);
+    }
+
+    // The next client is served, byte for byte as a clean run.
+    EXPECT_EQ(ask(sock, line + "\n"), onceAnswer(line));
+
+    const std::string ack =
+        ask(sock, "{\"schema\":\"oma-control-v1\",\"cmd\":\"shutdown\"}\n");
+    EXPECT_NE(ack.find("oma-control-v1"), std::string::npos);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status)) << "daemon died of a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+
+    // The hang-up is on the record.
+    std::ifstream report(dir + "/BENCH_oma_serve.json");
+    ASSERT_TRUE(report.good());
+    std::stringstream text;
+    text << report.rdbuf();
+    omatest::JsonLite doc;
+    ASSERT_TRUE(doc.parse(text.str()));
+    EXPECT_EQ(doc.num("counters.serve/client_errors"), 1.0);
+    fs::remove_all(dir);
+}
+
+} // namespace
+} // namespace oma::api

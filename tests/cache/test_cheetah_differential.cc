@@ -18,6 +18,7 @@
 #include "cache/cache.hh"
 #include "cache/cheetah.hh"
 #include "support/rng.hh"
+#include "tests/cache/nasty_trace.hh"
 #include "tlb/mips_va.hh"
 #include "workload/system.hh"
 
@@ -26,45 +27,8 @@ namespace oma
 namespace
 {
 
-struct Access
-{
-    std::uint64_t paddr;
-    RefKind kind;
-};
-
-/** Mixed synthetic trace: Zipf hot set + sequential strides + store
- * bursts, with loads and stores interleaved. */
-std::vector<Access>
-nastyTrace(std::uint64_t seed, std::size_t n)
-{
-    Rng rng(seed);
-    std::vector<Access> trace;
-    trace.reserve(n);
-    std::uint64_t stream_pos = 0x200000;
-    while (trace.size() < n) {
-        const double pick = rng.uniform();
-        if (pick < 0.5) {
-            // Hot working set, heavily skewed.
-            const std::uint64_t word = rng.zipf(4096, 1.1);
-            trace.push_back({0x10000 + word * 4,
-                             rng.chance(0.3) ? RefKind::Store
-                                             : RefKind::Load});
-        } else if (pick < 0.8) {
-            // Sequential streaming with a fixed stride.
-            stream_pos += 16;
-            if (stream_pos > 0x280000)
-                stream_pos = 0x200000;
-            trace.push_back({stream_pos, RefKind::Load});
-        } else {
-            // Store burst to consecutive words.
-            std::uint64_t base = 0x400000 + rng.below(1 << 14) * 4;
-            const std::uint64_t burst = 1 + rng.below(8);
-            for (std::uint64_t b = 0; b < burst && trace.size() < n; ++b)
-                trace.push_back({base + b * 4, RefKind::Store});
-        }
-    }
-    return trace;
-}
+using omatest::Access;
+using omatest::nastyTrace;
 
 /** The D-cache reference stream of a real synthesized workload,
  * filtered exactly as ComponentSweep filters it. */

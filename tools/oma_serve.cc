@@ -13,7 +13,9 @@
  *  * Otherwise the daemon binds a Unix-domain socket (`--socket`),
  *    answers one connection at a time (the client half-closes after
  *    its last line) and keeps running until a control line
- *    `{"schema":"oma-control-v1","cmd":"shutdown"}` arrives.
+ *    `{"schema":"oma-control-v1","cmd":"shutdown"}` arrives. A client
+ *    that resets the connection or hangs up before reading its reply
+ *    is counted in `serve/client_errors`; the daemon serves on.
  *
  * Identical lines in one batch coalesce onto a single computation
  * (`serve/dedup_hits`), repeated questions across batches are served
@@ -188,11 +190,11 @@ splitLines(const std::string &text)
     return lines;
 }
 
-/** Read until EOF on @p fd. */
-std::string
-readAll(int fd)
+/** Read until EOF on @p fd into @p text; false when the connection
+ * fails first (the client reset it). */
+bool
+readAll(int fd, std::string &text)
 {
-    std::string text;
     char buf[4096];
     while (true) {
         const ssize_t n = ::read(fd, buf, sizeof buf);
@@ -201,26 +203,42 @@ readAll(int fd)
             continue;
         }
         if (n == 0)
-            return text;
+            return true;
         if (errno == EINTR)
             continue;
-        fatal(std::string("oma_serve: read: ") + std::strerror(errno));
+        return false;
     }
 }
 
-void
-writeAll(int fd, std::string_view data)
+/** Send all of @p data on socket @p fd; false when the client has
+ * gone. MSG_NOSIGNAL turns a hang-up into EPIPE instead of a SIGPIPE
+ * that would kill the daemon. */
+bool
+sendAll(int fd, std::string_view data)
 {
     while (!data.empty()) {
-        const ssize_t n = ::write(fd, data.data(), data.size());
+        const ssize_t n =
+            ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
         if (n > 0) {
             data.remove_prefix(std::size_t(n));
             continue;
         }
-        if (errno == EINTR)
+        if (n < 0 && errno == EINTR)
             continue;
-        fatal(std::string("oma_serve: write: ") + std::strerror(errno));
+        return false;
     }
+    return true;
+}
+
+/** Count one client that failed mid-conversation; the daemon serves
+ * on. */
+void
+clientError(obs::Observation *observation, const char *what)
+{
+    const int err = errno;
+    observation->metrics.add("serve/client_errors");
+    inform(std::string("oma_serve: client ") + what + ": " +
+           std::strerror(err));
 }
 
 int
@@ -263,6 +281,8 @@ serveSocket(api::QueryEngine &engine, const std::string &path,
         fatal(std::string("oma_serve: listen: ") + std::strerror(errno));
     inform("oma_serve: listening on " + path);
 
+    // Present (as zero) in every socket-mode report.
+    observation->metrics.add("serve/client_errors", 0);
     bool shutdown = false;
     while (!shutdown) {
         const int client_fd = ::accept(listen_fd, nullptr, nullptr);
@@ -272,7 +292,12 @@ serveSocket(api::QueryEngine &engine, const std::string &path,
             fatal(std::string("oma_serve: accept: ") +
                   std::strerror(errno));
         }
-        const std::string text = readAll(client_fd);
+        std::string text;
+        if (!readAll(client_fd, text)) {
+            clientError(observation, "read failed");
+            ::close(client_fd);
+            continue;
+        }
         const std::vector<std::string> answers = serveBatch(
             engine, splitLines(text), observation, shutdown);
         std::string reply;
@@ -280,7 +305,8 @@ serveSocket(api::QueryEngine &engine, const std::string &path,
             reply += answer;
             reply.push_back('\n');
         }
-        writeAll(client_fd, reply);
+        if (!sendAll(client_fd, reply))
+            clientError(observation, "hung up before its reply");
         ::close(client_fd);
     }
     ::close(listen_fd);
