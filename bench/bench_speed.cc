@@ -21,12 +21,10 @@
 #include "bench/common.hh"
 #include "cache/bank.hh"
 #include "cache/cheetah.hh"
-#include "cache/replay.hh"
 #include "core/component.hh"
 #include "core/search.hh"
 #include "machine/machine.hh"
 #include "store/codec.hh"
-#include "tlb/replay.hh"
 #include "tlb/tapeworm.hh"
 #include "workload/system.hh"
 
@@ -266,6 +264,9 @@ BENCHMARK(BM_RankTable5Grid)
  * (a MemRef vector plus separate fetch-paddr and filtered-data
  * vectors) so the sweep-memory reduction stays in the perf
  * trajectory: bytes_per_ref vs legacy_bytes_per_ref and their ratio.
+ * The run report gains the v3 encoded footprint of the recording
+ * (`trace/encoded_bytes`, `trace/bytes_per_ref`), which the CI
+ * replay-equivalence job gates on.
  */
 void
 BM_RecordTrace(benchmark::State &state)
@@ -291,13 +292,23 @@ BM_RecordTrace(benchmark::State &state)
     state.counters["legacy_bytes_per_ref"] = legacy / n;
     state.counters["footprint_reduction"] = legacy / packed;
     state.counters["events"] = double(trace.events().size());
+    // google-benchmark may call this body more than once; the
+    // recording is seed-deterministic, so report its footprint once.
+    if (g_report != nullptr &&
+        g_report->metrics().counter("trace/encoded_bytes") == 0) {
+        const std::string encoded = store::encodeTrace(trace);
+        g_report->metrics().add("trace/encoded_bytes",
+                                encoded.size());
+        g_report->metrics().set("trace/bytes_per_ref",
+                                double(encoded.size()) / n);
+    }
     state.SetItemsProcessed(state.iterations() * int64_t(refs));
 }
 BENCHMARK(BM_RecordTrace)->Unit(benchmark::kMillisecond);
 
-/** One shared recording for the replay-kernel comparison. */
+/** The BM_RecordTrace recording, shared by the replay comparison. */
 const RecordedTrace &
-replayKernelTrace()
+sharedRecording()
 {
     static RecordedTrace trace;
     if (trace.empty()) {
@@ -307,90 +318,6 @@ replayKernelTrace()
     }
     return trace;
 }
-
-/**
- * The tentpole comparison: one sweep replay leg (I-cache fetches,
- * D-cache data, one MMU) driven per-reference through the scalar
- * views vs through the batched chunk kernels, over the same
- * recording. Arg(0) (scalar) is registered before Arg(1) (batched)
- * so the batched run can report its measured speedup; the run report
- * gains the `replay/speedup_vs_scalar` gauge the CI replay-
- * equivalence job gates on, plus the v3 encoded footprint
- * (`trace/bytes_per_ref`, `trace/encoded_bytes`).
- */
-void
-BM_ReplayKernel(benchmark::State &state)
-{
-    static double scalar_seconds = 0.0;
-    const RecordedTrace &trace = replayKernelTrace();
-    const bool batched = state.range(0) != 0;
-
-    CacheParams cp;
-    cp.geom = CacheGeometry::fromWords(8 * 1024, 4, 2);
-    TlbParams tp;
-    tp.geom = TlbGeometry::fullyAssoc(64);
-
-    const auto t0 = std::chrono::steady_clock::now();
-    for (auto _ : state) {
-        Cache icache(cp), dcache(cp);
-        Mmu mmu(tp, TlbPenalties());
-        if (batched) {
-            replayFetchBatched(trace, icache);
-            replayCachedDataBatched(trace, dcache);
-            replayTranslateBatched(trace, mmu);
-        } else {
-            trace.replayFetchPaddrs([&](std::uint64_t paddr) {
-                icache.access(paddr, RefKind::IFetch);
-            });
-            trace.replayCachedData(
-                [&](std::uint64_t paddr, RefKind kind) {
-                    dcache.access(paddr, kind);
-                });
-            trace.replay(
-                [&](const MemRef &ref) { mmu.translate(ref); },
-                [&](const TraceEvent &e) {
-                    mmu.invalidatePage(e.vpn, e.asid, e.global);
-                });
-        }
-        benchmark::DoNotOptimize(icache.stats().totalMisses() +
-                                 dcache.stats().totalMisses() +
-                                 mmu.stats().totalMisses());
-    }
-    const double per_iter = state.iterations()
-        ? std::chrono::duration<double>(
-              std::chrono::steady_clock::now() - t0)
-                .count() /
-            double(state.iterations())
-        : 0.0;
-
-    state.counters["batched"] = batched ? 1.0 : 0.0;
-    if (!batched) {
-        scalar_seconds = per_iter;
-    } else if (scalar_seconds > 0.0 && per_iter > 0.0) {
-        const double speedup = scalar_seconds / per_iter;
-        state.counters["speedup_vs_scalar"] = speedup;
-        if (g_report != nullptr) {
-            g_report->metrics().set("replay/speedup_vs_scalar",
-                                    speedup);
-        }
-    }
-    if (batched && g_report != nullptr) {
-        const std::string encoded = store::encodeTrace(trace);
-        g_report->metrics().add("trace/encoded_bytes",
-                                encoded.size());
-        g_report->metrics().set("trace/bytes_per_ref",
-                                double(encoded.size()) /
-                                    double(trace.size()));
-    }
-    // Three replay legs consume the full stream each iteration.
-    state.SetItemsProcessed(state.iterations() *
-                            int64_t(3 * trace.size()));
-}
-BENCHMARK(BM_ReplayKernel)
-    ->Arg(0)
-    ->Arg(1)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 /**
  * The one-pass comparison: every Table 5 I-cache and D-cache slot
@@ -406,7 +333,7 @@ void
 BM_OnePassCacheReplay(benchmark::State &state)
 {
     static double per_config_seconds = 0.0;
-    const RecordedTrace &trace = replayKernelTrace();
+    const RecordedTrace &trace = sharedRecording();
     const bool one_pass = state.range(0) != 0;
     const std::vector<CacheGeometry> grid =
         ConfigSpace().cacheGeometries();

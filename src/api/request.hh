@@ -28,6 +28,7 @@
 #ifndef OMA_API_REQUEST_HH
 #define OMA_API_REQUEST_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -166,6 +167,14 @@ encodeResponse(const AllocationResponse &response);
 
 /** Encode a refusal (`oma-error-v1`) carrying @p message. */
 [[nodiscard]] std::string encodeError(std::string_view message);
+
+/**
+ * Most bytes one oma_serve socket client may send before it
+ * half-closes. A longer request is refused with one encodeError()
+ * line and counted as a client error; 1 MiB holds a full default
+ * batch (64 request lines) many times over.
+ */
+inline constexpr std::size_t maxRequestBytes = std::size_t(1) << 20;
 
 /** Benchmark id by wire name (benchmarkName()); false when
  * unknown. */

@@ -4,12 +4,9 @@
  * adapter for every simulator kind, the chunked/scalar replay
  * drivers, and the store codec shims.
  *
- * Each adapter funnels its batched replay() and its scalar access()
- * through the underlying simulator's one access body, so the two
- * paths produce bitwise-identical counters by construction — the
- * same contract the cache and TLB replay kernels carry
- * (cache/replay.hh, tlb/replay.hh), extended here to the victim
- * cache, the standalone write buffer and the hierarchies.
+ * Each adapter's chunked replay() and scalar access() both call the
+ * underlying simulator's one access body, so the two paths produce
+ * bitwise-identical counters by construction.
  */
 
 #include "core/component.hh"
@@ -121,8 +118,8 @@ namespace
 /**
  * Compact one chunk to the stream a cache sees: the fetch paddrs
  * (@p fetch_stream), or the cached-data paddrs with their flags
- * (kseg1 references bypass the cache). cache/replay.cc compacts
- * identically.
+ * (kseg1 references bypass the cache). CacheComponent and
+ * replayOnePass() share it, so both see the same stream.
  */
 void
 compactCacheStream(const TraceChunkView &chunk, bool fetch_stream,
@@ -153,7 +150,7 @@ compactCacheStream(const TraceChunkView &chunk, bool fetch_stream,
 
 /**
  * Cache adapter: the fetch stream (ICache) or the cached-data stream
- * (DCache) through a Cache's batched kernels.
+ * (DCache) through Cache::access().
  */
 class CacheComponent final : public ComponentReplayer
 {
@@ -185,11 +182,12 @@ class CacheComponent final : public ComponentReplayer
     replay(const TraceChunkView &chunk) override
     {
         compactCacheStream(chunk, _fetchStream, _paddr, _flags);
-        if (_fetchStream)
-            _cache.replayFetchBatch(_paddr.data(), _paddr.size());
-        else
-            _cache.replayDataBatch(_paddr.data(), _flags.data(),
-                                   _paddr.size());
+        for (std::size_t i = 0; i < _paddr.size(); ++i)
+            _cache.access(_paddr[i],
+                          _fetchStream
+                              ? RefKind::IFetch
+                              : RefKind(_flags[i] &
+                                        RecordedTrace::kindMask));
         _delivered += _paddr.size();
     }
 
@@ -281,7 +279,6 @@ class VictimComponent final : public ComponentReplayer
   public:
     explicit VictimComponent(const VictimParams &params) : _vc(params)
     {
-        _paddr.reserve(RecordedTrace::chunkRefs);
     }
 
     void
@@ -296,15 +293,13 @@ class VictimComponent final : public ComponentReplayer
     void
     replay(const TraceChunkView &chunk) override
     {
-        _paddr.clear();
         for (std::size_t i = 0; i < chunk.size; ++i) {
-            const RefKind kind =
-                RefKind(chunk.flags[i] & RecordedTrace::kindMask);
-            if (kind == RefKind::IFetch)
-                _paddr.push_back(chunk.paddr[i]);
+            if (RefKind(chunk.flags[i] & RecordedTrace::kindMask) ==
+                RefKind::IFetch) {
+                _vc.access(std::uint64_t(chunk.paddr[i]));
+                ++_delivered;
+            }
         }
-        _vc.replayFetchBatch(_paddr.data(), _paddr.size());
-        _delivered += _paddr.size();
     }
 
     [[nodiscard]] ComponentCounters
@@ -321,7 +316,6 @@ class VictimComponent final : public ComponentReplayer
 
   private:
     VictimCache _vc;
-    std::vector<std::uint32_t> _paddr;
     std::uint64_t _delivered = 0;
 };
 

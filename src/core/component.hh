@@ -13,10 +13,10 @@
  *  - scalar `access(const MemRef &)` — one reference through the
  *    simulator's own access body;
  *  - chunked `replay(const TraceChunkView &)` — one packed column
- *    chunk through the *same* access body, so batched and scalar
- *    counter streams are bitwise-identical by construction (the PR 6
- *    contract, proven differentially in
- *    tests/core/test_component_replay.cc at 1 and 4 threads, cold and
+ *    chunk, each reference through the *same* access body, so chunked
+ *    and scalar counter streams are bitwise-identical by construction
+ *    (proven differentially in tests/core/test_component_replay.cc
+ *    for every kind and cache policy, at 1 and 4 threads, cold and
  *    warm store);
  *  - ordered `counters()` — the component's exact integer counters as
  *    a ComponentCounters variant, which the store codec persists

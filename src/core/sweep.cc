@@ -180,12 +180,12 @@ ComponentSweep::replayTrace(const RecordedTrace &trace,
     // (onePassEligible: LRU write-through write-allocate I-/D-caches)
     // are grouped by (kind, line size) into one task that replays
     // the stream once through a Cheetah engine; every other slot
-    // streams the packed trace columns through its own batched
-    // replay body (core/component.hh). With the store enabled, every
-    // slot first tries to load its shard (exact integer counters, so
-    // a hit reproduces the live slot bit-for-bit) and persists it
-    // right after simulating — which is what makes a killed sweep
-    // resume at its last completed shard.
+    // streams the packed trace columns, chunk by chunk, through its
+    // own simulator's access body (core/component.hh). With the
+    // store enabled, every slot first tries to load its shard (exact
+    // integer counters, so a hit reproduces the live slot
+    // bit-for-bit) and persists it right after simulating — which is
+    // what makes a killed sweep resume at its last completed shard.
     const std::size_t n_slots = _slots.size();
 
     SweepResult result;

@@ -46,7 +46,6 @@
 #include <string_view>
 #include <utility>
 
-#include "support/deprecated.hh"
 #include "support/fingerprint.hh"
 #include "support/sync.hh"
 
@@ -207,22 +206,6 @@ class ArtifactStore
         return _inflightTable;
     }
 
-    /** @deprecated Legacy spelling of get(). */
-    OMA_DEPRECATED("use ArtifactStore::get()")
-    [[nodiscard]] bool
-    load(const Fingerprint &key, std::string &payload) const
-    {
-        return get(key, payload);
-    }
-
-    /** @deprecated Legacy spelling of put(). */
-    OMA_DEPRECATED("use ArtifactStore::put()")
-    void
-    save(const Fingerprint &key, std::string_view payload) const
-    {
-        put(key, payload);
-    }
-
     /** Absolute path an entry for @p key lives at. */
     [[nodiscard]] std::string entryPath(const Fingerprint &key) const;
 
@@ -240,7 +223,7 @@ class ArtifactStore
 
     /**
      * Write one complete entry file (header + key text + payload) to
-     * @p path, fatal on any I/O failure — the building block save()
+     * @p path, fatal on any I/O failure — the building block put()
      * aims at a temp file, exposed so the disk-full path is directly
      * death-testable (tests/store/test_store.cc, /dev/full).
      */

@@ -61,9 +61,10 @@ struct TraceEvent
  * A borrowed, read-only view of one storage chunk's packed columns.
  * The pointers alias the trace's own column vectors and stay valid
  * until the trace is mutated or destroyed. This is the input format
- * of the batched replay kernels (cache/replay.hh, tlb/replay.hh) and
- * of the v3 chunk codec (trace/codec.hh): consumers stream whole
- * columns instead of decoding one MemRef per reference.
+ * of the chunked component replay (core/component.hh), the one-pass
+ * cache engine (cache/cheetah.hh) and the v3 chunk codec
+ * (trace/codec.hh): consumers stream whole columns instead of
+ * decoding one MemRef per reference.
  */
 struct TraceChunkView
 {

@@ -4,9 +4,11 @@
  * driven over its Unix-domain socket.
  *
  * A client that sends a request and closes before reading the reply
- * must not kill the daemon (it used to die of SIGPIPE, exit 141): the
- * failure is counted in `serve/client_errors`, and the next
- * well-formed query gets the byte-identical answer a clean run gives.
+ * must not kill the daemon (it used to die of SIGPIPE, exit 141), and
+ * a client that sends more than api::maxRequestBytes gets one
+ * oma-error-v1 line instead of an unbounded read. Either failure is
+ * counted in `serve/client_errors`, and the next well-formed query
+ * gets the byte-identical answer a clean run gives.
  */
 
 #include <gtest/gtest.h>
@@ -141,14 +143,12 @@ onceAnswer(const std::string &line)
     return output;
 }
 
-TEST(ServeSocket, EarlyHangUpDoesNotKillTheDaemon)
+/** Fork and exec the socket daemon on @p sock, its store and run
+ * report under @p dir; returns once the socket exists. */
+pid_t
+startDaemon(const std::string &dir, const std::string &sock)
 {
-    const std::string dir = scratchDir("hangup");
-    const std::string sock = dir + "/serve.sock";
-    const std::string line = queryLine();
-
     const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
     if (pid == 0) {
         ::setenv("OMA_RUN_REPORT_DIR", dir.c_str(), 1);
         ::unsetenv("OMA_RUN_REPORT");
@@ -157,8 +157,43 @@ TEST(ServeSocket, EarlyHangUpDoesNotKillTheDaemon)
                 static_cast<char *>(nullptr));
         ::_exit(127);
     }
-    for (int i = 0; i < 200 && !fs::exists(sock); ++i)
+    for (int i = 0; pid > 0 && i < 200 && !fs::exists(sock); ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return pid;
+}
+
+/** Ask the daemon to shut down, require a clean exit, and return the
+ * `serve/client_errors` counter of its run report (-1 when the
+ * report is missing or unreadable). */
+double
+stopDaemon(pid_t pid, const std::string &dir, const std::string &sock)
+{
+    const std::string ack =
+        ask(sock, "{\"schema\":\"oma-control-v1\",\"cmd\":\"shutdown\"}\n");
+    EXPECT_NE(ack.find("oma-control-v1"), std::string::npos);
+    int status = 0;
+    EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status)) << "daemon died of a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+
+    std::ifstream report(dir + "/BENCH_oma_serve.json");
+    if (!report.good())
+        return -1.0;
+    std::stringstream text;
+    text << report.rdbuf();
+    omatest::JsonLite doc;
+    if (!doc.parse(text.str()))
+        return -1.0;
+    return doc.num("counters.serve/client_errors");
+}
+
+TEST(ServeSocket, EarlyHangUpDoesNotKillTheDaemon)
+{
+    const std::string dir = scratchDir("hangup");
+    const std::string sock = dir + "/serve.sock";
+    const std::string line = queryLine();
+    const pid_t pid = startDaemon(dir, sock);
+    ASSERT_GT(pid, 0);
     ASSERT_TRUE(fs::exists(sock));
 
     // The rude client: request sent, connection closed unread.
@@ -172,22 +207,33 @@ TEST(ServeSocket, EarlyHangUpDoesNotKillTheDaemon)
     // The next client is served, byte for byte as a clean run.
     EXPECT_EQ(ask(sock, line + "\n"), onceAnswer(line));
 
-    const std::string ack =
-        ask(sock, "{\"schema\":\"oma-control-v1\",\"cmd\":\"shutdown\"}\n");
-    EXPECT_NE(ack.find("oma-control-v1"), std::string::npos);
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status)) << "daemon died of a signal";
-    EXPECT_EQ(WEXITSTATUS(status), 0);
-
     // The hang-up is on the record.
-    std::ifstream report(dir + "/BENCH_oma_serve.json");
-    ASSERT_TRUE(report.good());
-    std::stringstream text;
-    text << report.rdbuf();
-    omatest::JsonLite doc;
-    ASSERT_TRUE(doc.parse(text.str()));
-    EXPECT_EQ(doc.num("counters.serve/client_errors"), 1.0);
+    EXPECT_EQ(stopDaemon(pid, dir, sock), 1.0);
+    fs::remove_all(dir);
+}
+
+TEST(ServeSocket, OversizedRequestIsRefusedAndTheDaemonServesOn)
+{
+    const std::string dir = scratchDir("oversized");
+    const std::string sock = dir + "/serve.sock";
+    const std::string line = queryLine();
+    const pid_t pid = startDaemon(dir, sock);
+    ASSERT_GT(pid, 0);
+    ASSERT_TRUE(fs::exists(sock));
+
+    // One byte over the cap, then a half-close: exactly one
+    // oma-error-v1 line comes back.
+    const std::string reply =
+        ask(sock, std::string(maxRequestBytes + 1, ' '));
+    EXPECT_EQ(reply,
+              encodeError("request exceeds " +
+                          std::to_string(maxRequestBytes) + " bytes") +
+                  "\n");
+
+    // The next client is served, byte for byte as a clean run.
+    EXPECT_EQ(ask(sock, line + "\n"), onceAnswer(line));
+
+    EXPECT_EQ(stopDaemon(pid, dir, sock), 1.0);
     fs::remove_all(dir);
 }
 

@@ -14,8 +14,10 @@
  *    answers one connection at a time (the client half-closes after
  *    its last line) and keeps running until a control line
  *    `{"schema":"oma-control-v1","cmd":"shutdown"}` arrives. A client
- *    that resets the connection or hangs up before reading its reply
- *    is counted in `serve/client_errors`; the daemon serves on.
+ *    that resets the connection or hangs up before reading its reply,
+ *    or sends more than api::maxRequestBytes (it gets one oma-error-v1
+ *    line), is counted in `serve/client_errors`; the daemon serves
+ *    on.
  *
  * Identical lines in one batch coalesce onto a single computation
  * (`serve/dedup_hits`), repeated questions across batches are served
@@ -38,6 +40,7 @@
 
 #include "api/json.hh"
 #include "api/query_engine.hh"
+#include "api/request.hh"
 #include "obs/report.hh"
 #include "support/logging.hh"
 
@@ -190,23 +193,33 @@ splitLines(const std::string &text)
     return lines;
 }
 
-/** Read until EOF on @p fd into @p text; false when the connection
- * fails first (the client reset it). */
-bool
-readAll(int fd, std::string &text)
+/** How one client's request read ended. */
+enum class ReadResult
+{
+    Complete, //!< EOF within api::maxRequestBytes.
+    Failed,   //!< The client reset the connection.
+    TooLarge, //!< More than api::maxRequestBytes arrived.
+};
+
+/** Read until EOF on @p fd into @p text, stopping as soon as the
+ * request exceeds api::maxRequestBytes. */
+ReadResult
+readRequest(int fd, std::string &text)
 {
     char buf[4096];
     while (true) {
         const ssize_t n = ::read(fd, buf, sizeof buf);
         if (n > 0) {
             text.append(buf, std::size_t(n));
+            if (text.size() > api::maxRequestBytes)
+                return ReadResult::TooLarge;
             continue;
         }
         if (n == 0)
-            return true;
+            return ReadResult::Complete;
         if (errno == EINTR)
             continue;
-        return false;
+        return ReadResult::Failed;
     }
 }
 
@@ -233,12 +246,10 @@ sendAll(int fd, std::string_view data)
 /** Count one client that failed mid-conversation; the daemon serves
  * on. */
 void
-clientError(obs::Observation *observation, const char *what)
+clientError(obs::Observation *observation, const std::string &what)
 {
-    const int err = errno;
     observation->metrics.add("serve/client_errors");
-    inform(std::string("oma_serve: client ") + what + ": " +
-           std::strerror(err));
+    inform("oma_serve: client " + what);
 }
 
 int
@@ -293,20 +304,32 @@ serveSocket(api::QueryEngine &engine, const std::string &path,
                   std::strerror(errno));
         }
         std::string text;
-        if (!readAll(client_fd, text)) {
-            clientError(observation, "read failed");
+        std::string reply;
+        switch (readRequest(client_fd, text)) {
+          case ReadResult::Failed:
+            clientError(observation, std::string("read failed: ") +
+                        std::strerror(errno));
             ::close(client_fd);
             continue;
-        }
-        const std::vector<std::string> answers = serveBatch(
-            engine, splitLines(text), observation, shutdown);
-        std::string reply;
-        for (const std::string &answer : answers) {
-            reply += answer;
-            reply.push_back('\n');
+          case ReadResult::TooLarge: {
+            const std::string why = "request exceeds " +
+                std::to_string(api::maxRequestBytes) + " bytes";
+            clientError(observation, why);
+            reply = api::encodeError(why) + '\n';
+            break;
+          }
+          case ReadResult::Complete:
+            for (const std::string &answer : serveBatch(
+                     engine, splitLines(text), observation, shutdown)) {
+                reply += answer;
+                reply.push_back('\n');
+            }
+            break;
         }
         if (!sendAll(client_fd, reply))
-            clientError(observation, "hung up before its reply");
+            clientError(observation,
+                        std::string("hung up before its reply: ") +
+                            std::strerror(errno));
         ::close(client_fd);
     }
     ::close(listen_fd);
