@@ -20,7 +20,7 @@ Options:
   --require-zero NAME      fail unless counter NAME is absent or 0 in
                            OTHER (e.g. sweep/records on a warm run)
   --require-positive NAME  fail unless counter NAME is > 0 in OTHER
-                           (e.g. store/trace_hits on a warm run)
+                           (e.g. sweep/trace_fetch_skips on a warm run)
 
 Exits non-zero listing every difference and failed requirement.
 """

@@ -152,12 +152,15 @@ QueryEngine::rank(const AllocationRequest &request,
         result = AnnealingStrategy(request.annealing)
                      .search(space, request.threads, observation);
     } else {
-        result = ExhaustiveStrategy().search(space, request.threads,
-                                             observation);
+        // Only the answer's top_k allocations are materialized; the
+        // bounded ranking is the full one's first top_k, ties
+        // included, and counts every in-budget candidate.
+        result = ExhaustiveStrategy(true, request.topK)
+                     .search(space, request.threads, observation);
     }
     AllocationResponse response;
     response.strategy = request.strategy;
-    response.inBudget = result.allocations.size();
+    response.inBudget = result.inBudget;
     response.candidates = result.candidates;
     response.evaluations = result.evaluations;
     response.prunedSubspaces = result.prunedSubspaces;

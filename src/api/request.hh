@@ -176,6 +176,16 @@ encodeResponse(const AllocationResponse &response);
  */
 inline constexpr std::size_t maxRequestBytes = std::size_t(1) << 20;
 
+/**
+ * Longest an oma_serve socket client may take, from accept to its
+ * half-close, to send its request. The daemon serves one connection
+ * at a time, so a client that never half-closes would otherwise stall
+ * every client behind it; at the deadline it gets one encodeError()
+ * line and is counted as a client error. A well-behaved client
+ * writes its lines at once, so two seconds is a wide margin.
+ */
+inline constexpr int requestReadTimeoutMs = 2000;
+
 /** Benchmark id by wire name (benchmarkName()); false when
  * unknown. */
 [[nodiscard]] bool benchmarkFromName(std::string_view name,

@@ -217,6 +217,24 @@ ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
     const double min_d = space.minDArea();
     const double min_wb = space.minWbArea();
     const bool prune = _prune;
+    const std::uint64_t keep = _keep;
+
+    // One in-budget candidate a bounded shard keeps: its CPI (the
+    // expression materialize() stores, so the bits match) and its
+    // emission position within the shard.
+    struct Kept
+    {
+        double cpi;
+        std::uint64_t pos;
+        SearchCandidate c;
+    };
+    // Worse-first on (cpi, position): the heap front is the kept
+    // candidate a better newcomer evicts. A newcomer always has the
+    // largest position so far, so on a CPI tie it loses — the stable
+    // sort's tie rule.
+    const auto better = [](const Kept &x, const Kept &y) {
+        return x.cpi < y.cpi || (!(y.cpi < x.cpi) && x.pos < y.pos);
+    };
 
     // Score one TLB-geometry shard: exactly the serial enumeration
     // restricted to TLB index t, emitting split allocations in
@@ -229,11 +247,30 @@ ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
     // the emitted set is identical with pruning on or off.
     struct Shard
     {
-        std::vector<Allocation> out;
+        std::vector<Allocation> out; //!< keep == 0: every emission.
+        std::vector<Kept> heap;      //!< keep > 0: the best keep.
+        std::uint64_t emitted = 0;
         std::uint64_t evals = 0;
         std::uint64_t pruned = 0;
     };
     std::vector<Shard> shards(tlb_area.size());
+
+    const auto emit = [&](Shard &shard, const SearchCandidate &c) {
+        const std::uint64_t pos = shard.emitted++;
+        if (keep == 0) {
+            shard.out.push_back(space.materialize(c));
+            return;
+        }
+        const Kept k{space.cpi(c), pos, c};
+        if (shard.heap.size() < keep) {
+            shard.heap.push_back(k);
+            std::push_heap(shard.heap.begin(), shard.heap.end(), better);
+        } else if (k.cpi < shard.heap.front().cpi) {
+            std::pop_heap(shard.heap.begin(), shard.heap.end(), better);
+            shard.heap.back() = k;
+            std::push_heap(shard.heap.begin(), shard.heap.end(), better);
+        }
+    };
 
     const auto score_shard = [&](std::size_t t) {
         Shard &shard = shards[t];
@@ -262,8 +299,7 @@ ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
                     const double a = tid_area + wb_options[wp].area;
                     if (a > budget)
                         continue;
-                    shard.out.push_back(space.materialize(
-                        SearchCandidate{false, t, ip, dp, wp}));
+                    emit(shard, SearchCandidate{false, t, ip, dp, wp});
                 }
             }
         }
@@ -282,8 +318,7 @@ ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
                 const double a = th_area + wb_options[wp].area;
                 if (a > budget)
                     continue;
-                shard.out.push_back(space.materialize(
-                    SearchCandidate{true, t, hp, 0, wp}));
+                emit(shard, SearchCandidate{true, t, hp, 0, wp});
             }
         }
     };
@@ -300,22 +335,41 @@ ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
 
     SearchResult result;
     result.candidates = space.candidateCount();
-    std::size_t total = 0;
     for (const Shard &s : shards) {
-        total += s.out.size();
+        result.inBudget += s.emitted;
         result.evaluations += s.evals;
         result.prunedSubspaces += s.pruned;
     }
-    result.allocations.reserve(total);
-    for (const Shard &s : shards)
-        result.allocations.insert(result.allocations.end(),
-                                  s.out.begin(), s.out.end());
-
-    std::stable_sort(result.allocations.begin(),
-                     result.allocations.end(),
-                     [](const Allocation &x, const Allocation &y) {
-                         return x.cpi < y.cpi;
-                     });
+    if (keep == 0) {
+        result.allocations.reserve(result.inBudget);
+        for (const Shard &s : shards)
+            result.allocations.insert(result.allocations.end(),
+                                      s.out.begin(), s.out.end());
+        std::stable_sort(result.allocations.begin(),
+                         result.allocations.end(),
+                         [](const Allocation &x, const Allocation &y) {
+                             return x.cpi < y.cpi;
+                         });
+    } else {
+        // The survivors in (cpi, TLB, position) order: the stable
+        // sort's order over the concatenated shards.
+        std::vector<Kept> kept;
+        for (const Shard &s : shards)
+            kept.insert(kept.end(), s.heap.begin(), s.heap.end());
+        std::sort(kept.begin(), kept.end(),
+                  [](const Kept &x, const Kept &y) {
+                      if (x.cpi < y.cpi || y.cpi < x.cpi)
+                          return x.cpi < y.cpi;
+                      if (x.c.tlb != y.c.tlb)
+                          return x.c.tlb < y.c.tlb;
+                      return x.pos < y.pos;
+                  });
+        if (kept.size() > keep)
+            kept.resize(std::size_t(keep));
+        result.allocations.reserve(kept.size());
+        for (const Kept &k : kept)
+            result.allocations.push_back(space.materialize(k.c));
+    }
     for (std::size_t r = 0; r < result.allocations.size(); ++r)
         result.allocations[r].rank = r + 1;
 
@@ -325,7 +379,7 @@ ExhaustiveStrategy::search(const SearchSpace &space, unsigned threads,
         m.add("search/candidates", result.candidates);
         m.add("search/evaluations", result.evaluations);
         m.add("search/pruned_subspaces", result.prunedSubspaces);
-        m.add("search/in_budget", result.allocations.size());
+        m.add("search/in_budget", result.inBudget);
         obs::exportRanking(m, result.allocations);
     }
     return result;
@@ -969,6 +1023,7 @@ AnnealingStrategy::search(const SearchSpace &space, unsigned threads,
             result.allocations.push_back(a);
         }
     }
+    result.inBudget = result.allocations.size();
 
     if (observation != nullptr) {
         obs::MetricRegistry &m = observation->metrics;

@@ -220,9 +220,14 @@ class SearchSpace
 struct SearchResult
 {
     /** Best-first allocations with 1-based ranks. Exhaustive: every
-     * in-budget candidate. Annealing: the single best candidate
-     * found (empty when no feasible candidate exists). */
+     * in-budget candidate, or the first K of that ranking when the
+     * strategy keeps K. Annealing: the single best candidate found
+     * (empty when no feasible candidate exists). */
     std::vector<Allocation> allocations;
+    /** In-budget candidates. Exhaustive: all of them, kept or not.
+     * Annealing: the allocations returned (it does not count the
+     * space). */
+    std::uint64_t inBudget = 0;
     /** Full grid size (SearchSpace::candidateCount()). */
     std::uint64_t candidates = 0;
     /** Candidates whose full area was actually computed. */
@@ -272,11 +277,23 @@ class SearchStrategy
  * historical AllocationSearch::rank for every thread count, with
  * pruning on or off (pruned subgrids contain only over-budget
  * candidates).
+ *
+ * A non-zero @p keep bounds the ranking to its first @p keep
+ * allocations without materializing the rest: each TLB shard keeps
+ * a bounded heap of (cpi, emission position, candidate), and the
+ * shards merge on (cpi, TLB, position) — exactly the order the
+ * stable sort gives, ties included. The enumeration itself is
+ * unchanged, so `evaluations`, `prunedSubspaces` and `inBudget`
+ * equal the full run's.
  */
 class ExhaustiveStrategy final : public SearchStrategy
 {
   public:
-    explicit ExhaustiveStrategy(bool prune = true) : _prune(prune) {}
+    /** @param keep Allocations to return; 0 = every in-budget one. */
+    explicit ExhaustiveStrategy(bool prune = true, std::uint64_t keep = 0)
+        : _prune(prune), _keep(keep)
+    {
+    }
 
     [[nodiscard]] std::string_view
     name() const override
@@ -292,6 +309,7 @@ class ExhaustiveStrategy final : public SearchStrategy
 
   private:
     bool _prune;
+    std::uint64_t _keep;
 };
 
 /** Tuning knobs of the annealing strategy. All defaults are part of

@@ -109,47 +109,58 @@ ComponentSweep::run(const WorkloadParams &workload, OsKind os,
         ArtifactStore::open(run.storeDir);
     const Fingerprint base = sweepBaseKey(workload, os, run);
 
-    // Phase 1 (serial): capture the stream once. The workload RNG
-    // and the OS model advance exactly as in a legacy single-pass
-    // run; page-invalidation events land inline in the recording at
-    // the index of the reference the OS fired them while producing,
-    // which is where every replay applies them. A warm store skips
-    // this phase entirely: the decoded recording is byte-identical
-    // to what a live record would produce.
+    // Fetch or record the stream, at most once and only when the
+    // replay phase asks for it (on the calling thread: the metric
+    // registry is not thread-safe). Recording is serial: the
+    // workload RNG and the OS model advance exactly as in a legacy
+    // single-pass run, and page-invalidation events land inline in
+    // the recording at the index of the reference the OS fired them
+    // while producing, which is where every replay applies them. A
+    // stored recording decodes byte-identical to a live record.
     RecordedTrace trace;
-    bool have_trace = false;
-    if (store != nullptr) {
-        std::string payload;
-        if (store->get(traceKey(base), payload) &&
-            store::decodeTrace(payload, trace)) {
-            have_trace = true;
-            if (observation != nullptr) {
-                observation->metrics.add("store/trace_hits");
-                observation->metrics.add("sweep/record_skips");
+    bool fetched = false;
+    const auto fetch = [&]() -> const RecordedTrace & {
+        fetched = true;
+        bool have_trace = false;
+        if (store != nullptr) {
+            std::string payload;
+            if (store->get(traceKey(base), payload) &&
+                store::decodeTrace(payload, trace)) {
+                have_trace = true;
+                if (observation != nullptr) {
+                    observation->metrics.add("store/trace_hits");
+                    observation->metrics.add("sweep/record_skips");
+                }
             }
         }
-    }
-    if (!have_trace) {
-        System system(workload, os, run.seed);
-        if (observation != nullptr) {
-            obs::Span span(observation->metrics, "sweep/record");
-            trace = system.record(run.references);
-            observation->metrics.add("sweep/records");
-        } else {
-            trace = system.record(run.references);
+        if (!have_trace) {
+            System system(workload, os, run.seed);
+            if (observation != nullptr) {
+                obs::Span span(observation->metrics, "sweep/record");
+                trace = system.record(run.references);
+                observation->metrics.add("sweep/records");
+            } else {
+                trace = system.record(run.references);
+            }
+            if (store != nullptr) {
+                const std::string payload = store::encodeTrace(trace);
+                store->put(traceKey(base), payload);
+                if (observation != nullptr)
+                    obs::exportEncodedTrace(observation->metrics,
+                                            "trace", payload.size(),
+                                            trace.size());
+            }
         }
-        if (store != nullptr) {
-            const std::string payload = store::encodeTrace(trace);
-            store->put(traceKey(base), payload);
-            if (observation != nullptr)
-                obs::exportEncodedTrace(observation->metrics, "trace",
-                                        payload.size(), trace.size());
-        }
-    }
+        return trace;
+    };
 
     SweepResult result =
-        replayTrace(trace, ThreadPool::resolveThreads(run.threads),
+        replayTrace(fetch, ThreadPool::resolveThreads(run.threads),
                     observation, store.get(), base);
+    if (observation != nullptr && !fetched) {
+        observation->metrics.add("sweep/trace_fetch_skips");
+        observation->metrics.add("sweep/record_skips");
+    }
     if (store != nullptr && observation != nullptr)
         obs::exportArtifactStore(observation->metrics, "store",
                                  *store);
@@ -160,37 +171,40 @@ SweepResult
 ComponentSweep::run(const RecordedTrace &trace, unsigned threads,
                     obs::Observation *observation) const
 {
-    return replayTrace(trace, ThreadPool::resolveThreads(threads),
-                       observation, nullptr, Fingerprint());
+    return replayTrace([&]() -> const RecordedTrace & { return trace; },
+                       ThreadPool::resolveThreads(threads), observation,
+                       nullptr, Fingerprint());
 }
 
 SweepResult
-ComponentSweep::replayTrace(const RecordedTrace &trace,
-                            unsigned threads,
+ComponentSweep::replayTrace(const TraceFetch &fetch, unsigned threads,
                             obs::Observation *observation,
                             const ArtifactStore *store,
                             const Fingerprint &base_key) const
 {
-    // Phase 2 (parallel): replay per consumer. One flat task space
-    // across the reference machine and every component slot keeps
-    // every lane busy; each task owns its private simulators and
-    // writes only its own slots' results, so the reduction order is
-    // fixed by construction and the results are bitwise identical
-    // for any thread count. Slots the one-pass engine scores exactly
-    // (onePassEligible: LRU write-through write-allocate I-/D-caches)
-    // are grouped by (kind, line size) into one task that replays
-    // the stream once through a Cheetah engine; every other slot
-    // streams the packed trace columns, chunk by chunk, through its
-    // own simulator's access body (core/component.hh). With the
-    // store enabled, every slot first tries to load its shard (exact
-    // integer counters, so a hit reproduces the live slot
-    // bit-for-bit) and persists it right after simulating — which is
-    // what makes a killed sweep resume at its last completed shard.
+    // Two parallel phases around at most one trace fetch. Phase A
+    // gives the reference machine and every component slot its one
+    // store read (exact integer counters, so a hit reproduces the
+    // live slot bit-for-bit). The machine shard also carries the
+    // recording's reference and event counts and otherCpi, so when
+    // every unit hits the trace is never touched; only if something
+    // missed is it fetched or recorded, once, on the calling thread.
+    // Phase B then replays the missing consumers alone: one flat
+    // task space keeps every lane busy, each task owns its private
+    // simulators and writes only its own slots' results, so the
+    // reduction order is fixed by construction and the results are
+    // bitwise identical for any thread count. Slots the one-pass engine scores exactly
+    // (onePassEligible: LRU write-through write-allocate
+    // I-/D-caches) are grouped by (kind, line size) into one task
+    // that replays the stream once through a Cheetah engine; every
+    // other slot streams the packed trace columns, chunk by chunk,
+    // through its own simulator's access body (core/component.hh).
+    // Each replayed shard is persisted right after simulating —
+    // which is what makes a killed sweep resume at its last
+    // completed shard.
     const std::size_t n_slots = _slots.size();
 
     SweepResult result;
-    result.references = trace.size();
-    result.otherCpi = trace.otherCpi();
     result._slots = _slots;
     result._stats.resize(n_slots);
 
@@ -221,35 +235,6 @@ ComponentSweep::replayTrace(const RecordedTrace &trace,
         }
     }
 
-    // Task plan: task 0 replays the reference machine, each one-pass
-    // group is one task (created where its first slot appears), and
-    // every other slot is a task of its own.
-    struct ReplayTask
-    {
-        std::vector<std::size_t> slots;
-        bool onePass = false;
-    };
-    std::vector<ReplayTask> tasks(1);
-    {
-        std::map<std::pair<ComponentKind, std::uint64_t>, std::size_t>
-            group_task;
-        for (std::size_t s = 0; s < n_slots; ++s) {
-            const ComponentSlot &slot = _slots[s];
-            if (!onePassEligible(slot)) {
-                tasks.push_back({{s}, false});
-                continue;
-            }
-            const auto [it, fresh] = group_task.emplace(
-                std::make_pair(
-                    slot.kind,
-                    std::get<CacheParams>(slot.params).geom.lineBytes),
-                tasks.size());
-            if (fresh)
-                tasks.push_back({{}, true});
-            tasks[it->second].slots.push_back(s);
-        }
-    }
-
     // Per-slot metric shards (index 0 = reference machine, 1 + s =
     // slot s): each task writes only its own slots' shards, so the
     // post-loop merge (in slot order) is a pure function of the
@@ -274,14 +259,22 @@ ComponentSweep::replayTrace(const RecordedTrace &trace,
             observation->progress->tick();
     };
 
-    // The shard key reproduces the historical per-kind keys exactly
+    // Store keys: index 0 = reference machine, 1 + s = slot s. The
+    // shard key reproduces the historical per-kind keys exactly
     // (kind name + per-kind index + parameter fingerprint, plus the
     // TLB handler penalties for TLB slots), so stores written by
     // earlier engines — per-config or one-pass — stay warm.
-    const auto slotKey = [&](std::size_t s) {
-        const ComponentSlot &slot = _slots[s];
+    std::vector<Fingerprint> keys(1 + n_slots);
+    const auto makeKey = [&](std::size_t unit) {
         Fingerprint key = base_key;
         key.str("artifact", "shard");
+        if (unit == 0) {
+            key.str("component", "machine");
+            _refMachine.fingerprint(key);
+            return key;
+        }
+        const std::size_t s = unit - 1;
+        const ComponentSlot &slot = _slots[s];
         key.str("component", componentKindName(slot.kind));
         key.u64("index", kind_index[s]);
         slot.fingerprint(key);
@@ -289,16 +282,7 @@ ComponentSweep::replayTrace(const RecordedTrace &trace,
             _refMachine.tlbPenalties.fingerprint(key);
         return key;
     };
-    const auto loadSlot = [&](std::size_t s, const Fingerprint &key) {
-        ComponentCounters counters;
-        if (!loadShard(key, [&](const std::string &p) {
-                return decodeComponentCounters(p, _slots[s].kind,
-                                               counters);
-            }))
-            return false;
-        result._stats[s] = counters;
-        return true;
-    };
+
     // Record slot s's counters (already in result._stats) and tick.
     const auto finishSlot = [&](std::size_t s) {
         if (observation != nullptr)
@@ -307,139 +291,198 @@ ComponentSweep::replayTrace(const RecordedTrace &trace,
                 result._stats[s]);
         tick();
     };
+    store::MachineShard machine_shard;
+    const auto finishMachine = [&] {
+        if (observation != nullptr) {
+            const store::MachineShard &m = machine_shard;
+            const StallCounters stalls{m.instructions, m.icacheStall,
+                                       m.dcacheStall, m.wbStall,
+                                       m.tlbStall};
+            obs::exportStallCounters(shards[0], "machine", stalls);
+            obs::exportWriteBufferCounters(shards[0], "wb", m.wbStores,
+                                           m.wbStallCycles);
+        }
+        tick();
+    };
+
+    // Phase A (parallel): one store read per unit.
+    std::vector<char> hit(1 + n_slots, 0);
+    const auto load = [&](std::size_t unit) {
+        keys[unit] = makeKey(unit);
+        if (unit == 0) {
+            hit[0] = loadShard(keys[0], [&](const std::string &p) {
+                return store::decodeMachineShard(p, machine_shard);
+            });
+            if (hit[0])
+                finishMachine();
+            return;
+        }
+        const std::size_t s = unit - 1;
+        ComponentCounters counters;
+        hit[unit] = loadShard(keys[unit], [&](const std::string &p) {
+            return decodeComponentCounters(p, _slots[s].kind, counters);
+        });
+        if (hit[unit]) {
+            result._stats[s] = counters;
+            finishSlot(s);
+        }
+    };
+
+    // Phase B task plan over the missing units: the reference
+    // machine (when missing) is a task, each one-pass group of
+    // missing slots is one task (created where its first slot
+    // appears), and every other missing slot is a task of its own.
+    struct ReplayTask
+    {
+        std::vector<std::size_t> slots; //!< Empty: the machine.
+        bool onePass = false;
+    };
+    std::vector<ReplayTask> tasks;
+    const auto planTasks = [&] {
+        if (!hit[0])
+            tasks.push_back({{}, false});
+        std::map<std::pair<ComponentKind, std::uint64_t>, std::size_t>
+            group_task;
+        for (std::size_t s = 0; s < n_slots; ++s) {
+            if (hit[1 + s])
+                continue;
+            const ComponentSlot &slot = _slots[s];
+            if (!onePassEligible(slot)) {
+                tasks.push_back({{s}, false});
+                continue;
+            }
+            const auto [it, fresh] = group_task.emplace(
+                std::make_pair(
+                    slot.kind,
+                    std::get<CacheParams>(slot.params).geom.lineBytes),
+                tasks.size());
+            if (fresh)
+                tasks.push_back({{}, true});
+            tasks[it->second].slots.push_back(s);
+        }
+    };
+
+    // Null unless something missed.
+    const RecordedTrace *trace = nullptr;
+    const auto replayMachine = [&] {
+        // Reference machine replay: stall attribution for the
+        // configuration-independent CPI components.
+        Machine machine(_refMachine);
+        trace->replay([&](const MemRef &ref) { machine.observe(ref); },
+                      [&](const TraceEvent &e) {
+                          machine.mmu().invalidatePage(e.vpn, e.asid,
+                                                       e.global);
+                      });
+        store::MachineShard &shard = machine_shard;
+        shard.instructions = machine.stalls().instructions;
+        shard.icacheStall = machine.stalls().icacheStall;
+        shard.dcacheStall = machine.stalls().dcacheStall;
+        shard.wbStall = machine.stalls().wbStall;
+        shard.tlbStall = machine.stalls().tlbStall;
+        shard.wbStores = machine.writeBuffer().stores();
+        shard.wbStallCycles = machine.writeBuffer().stallCycles();
+        shard.references = trace->size();
+        shard.events = trace->events().size();
+        shard.otherCpi = trace->otherCpi();
+        saveShard(keys[0], store::encodeMachineShard(shard));
+        finishMachine();
+    };
 
     const auto replayPerConfig = [&](std::size_t s) {
-        const Fingerprint key = slotKey(s);
-        if (!loadSlot(s, key)) {
-            const std::unique_ptr<ComponentReplayer> component =
-                makeComponent(_slots[s], _refMachine);
-            replayComponent(trace, *component);
-            result._stats[s] = component->counters();
-            saveShard(key, encodeComponentCounters(result._stats[s]));
-            if (observation != nullptr) {
-                shards[1 + s].add("replay/batched_refs",
-                                  component->delivered());
-                shards[1 + s].add("replay/per_config_slots");
-            }
+        const std::unique_ptr<ComponentReplayer> component =
+            makeComponent(_slots[s], _refMachine);
+        replayComponent(*trace, *component);
+        result._stats[s] = component->counters();
+        saveShard(keys[1 + s], encodeComponentCounters(result._stats[s]));
+        if (observation != nullptr) {
+            shards[1 + s].add("replay/batched_refs",
+                              component->delivered());
+            shards[1 + s].add("replay/per_config_slots");
         }
         finishSlot(s);
     };
 
     const auto replayGroup = [&](const std::vector<std::size_t> &slots) {
-        // Every slot gets its one store read; one pass then derives
-        // the missing slots only, and only their shards are written.
-        std::vector<std::size_t> missing;
-        std::vector<Fingerprint> missing_keys;
-        for (const std::size_t s : slots) {
-            Fingerprint key = slotKey(s);
-            if (loadSlot(s, key)) {
-                finishSlot(s);
-            } else {
-                missing.push_back(s);
-                missing_keys.push_back(std::move(key));
-            }
-        }
-        if (missing.empty())
-            return;
+        // One pass derives every missing slot of the group.
         std::vector<CacheGeometry> geoms;
-        for (const std::size_t s : missing)
+        for (const std::size_t s : slots)
             geoms.push_back(std::get<CacheParams>(_slots[s].params).geom);
 
         // Pass-level metrics land in the first derived slot's shard.
         obs::MetricRegistry *m =
-            observation != nullptr ? &shards[1 + missing.front()]
+            observation != nullptr ? &shards[1 + slots.front()]
                                    : nullptr;
         std::unique_ptr<obs::Span> span;
         if (m != nullptr)
             span = std::make_unique<obs::Span>(*m, "sweep/replay/onepass");
         std::uint64_t delivered = 0;
         const std::vector<CacheStats> stats = replayOnePass(
-            trace, _slots[missing.front()].kind, geoms, &delivered);
+            *trace, _slots[slots.front()].kind, geoms, &delivered);
         span.reset();
         if (m != nullptr) {
             m->add("replay/onepass_passes");
-            m->add("replay/onepass_slots", missing.size());
+            m->add("replay/onepass_slots", slots.size());
             m->add("replay/batched_refs", delivered);
         }
-        for (std::size_t i = 0; i < missing.size(); ++i) {
-            result._stats[missing[i]] = stats[i];
-            saveShard(missing_keys[i], encodeComponentCounters(stats[i]));
-            finishSlot(missing[i]);
+        for (std::size_t i = 0; i < slots.size(); ++i) {
+            result._stats[slots[i]] = stats[i];
+            saveShard(keys[1 + slots[i]],
+                      encodeComponentCounters(stats[i]));
+            finishSlot(slots[i]);
         }
     };
 
-    std::uint64_t wb_stall = 0;
     const auto body = [&](std::size_t task) {
-        if (task == 0) {
-            // Reference machine replay: stall attribution for the
-            // configuration-independent CPI components.
-            Fingerprint key = base_key;
-            key.str("artifact", "shard");
-            key.str("component", "machine");
-            _refMachine.fingerprint(key);
+        const ReplayTask &t = tasks[task];
+        if (t.slots.empty())
+            replayMachine();
+        else if (t.onePass)
+            replayGroup(t.slots);
+        else
+            replayPerConfig(t.slots.front());
+    };
 
-            store::MachineShard shard;
-            if (!loadShard(key, [&](const std::string &p) {
-                    return store::decodeMachineShard(p, shard);
-                })) {
-                Machine machine(_refMachine);
-                trace.replay(
-                    [&](const MemRef &ref) { machine.observe(ref); },
-                    [&](const TraceEvent &e) {
-                        machine.mmu().invalidatePage(e.vpn, e.asid,
-                                                     e.global);
-                    });
-                shard.instructions = machine.stalls().instructions;
-                shard.icacheStall = machine.stalls().icacheStall;
-                shard.dcacheStall = machine.stalls().dcacheStall;
-                shard.wbStall = machine.stalls().wbStall;
-                shard.tlbStall = machine.stalls().tlbStall;
-                shard.wbStores = machine.writeBuffer().stores();
-                shard.wbStallCycles =
-                    machine.writeBuffer().stallCycles();
-                saveShard(key, store::encodeMachineShard(shard));
-            }
-            result.instructions = shard.instructions;
-            wb_stall = shard.wbStall;
-            if (observation != nullptr) {
-                const StallCounters stalls{
-                    shard.instructions, shard.icacheStall,
-                    shard.dcacheStall, shard.wbStall, shard.tlbStall};
-                obs::exportStallCounters(shards[task], "machine",
-                                         stalls);
-                obs::exportWriteBufferCounters(shards[task], "wb",
-                                               shard.wbStores,
-                                               shard.wbStallCycles);
-            }
-            tick();
-        } else if (tasks[task].onePass) {
-            replayGroup(tasks[task].slots);
-        } else {
-            replayPerConfig(tasks[task].slots.front());
-        }
+    // Between the phases, on the calling thread: fetch the trace if
+    // anything missed.
+    const auto bridge = [&] {
+        planTasks();
+        if (!tasks.empty())
+            trace = &fetch();
     };
 
     if (observation != nullptr) {
         // Run on an explicit pool so its work counters can be
         // exported alongside the component metrics.
         obs::MetricRegistry &m = observation->metrics;
+        ThreadPool pool(threads);
+        if (store != nullptr) {
+            obs::Span span(m, "sweep/load_shards");
+            pool.parallelFor(0, 1 + n_slots, load);
+        }
+        bridge();
         {
             obs::Span span(m, "sweep/replay");
-            ThreadPool pool(threads);
             pool.parallelFor(0, tasks.size(), body);
-            obs::exportThreadPool(m, "threadpool", pool);
         }
+        obs::exportThreadPool(m, "threadpool", pool);
         for (const obs::MetricRegistry &shard : shards)
             m.merge(shard);
-        obs::exportRecordedTrace(m, "trace", trace);
+        obs::exportRecordedTrace(m, "trace", machine_shard.references,
+                                 machine_shard.events);
         m.add("sweep/replays");
     } else {
+        if (store != nullptr)
+            parallelFor(threads, 0, 1 + n_slots, load);
+        bridge();
         parallelFor(threads, 0, tasks.size(), body);
     }
 
+    result.references = machine_shard.references;
+    result.otherCpi = machine_shard.otherCpi;
+    result.instructions = machine_shard.instructions;
     const double instr =
         double(std::max<std::uint64_t>(1, result.instructions));
-    result.wbCpi = double(wb_stall) / instr;
+    result.wbCpi = double(machine_shard.wbStall) / instr;
     return result;
 }
 

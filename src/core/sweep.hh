@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -419,8 +420,11 @@ class ComponentSweep
         obs::Observation *observation = nullptr) const;
 
   private:
-    SweepResult replayTrace(const RecordedTrace &trace,
-                            unsigned threads,
+    /** Yields the sweep's recording; called at most once, on the
+     * calling thread, and only when some shard missed. */
+    using TraceFetch = std::function<const RecordedTrace &()>;
+
+    SweepResult replayTrace(const TraceFetch &fetch, unsigned threads,
                             obs::Observation *observation,
                             const ArtifactStore *store,
                             const Fingerprint &base_key) const;

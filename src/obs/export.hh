@@ -161,17 +161,21 @@ exportComponentCounters(MetricRegistry &m, const std::string &prefix,
         counters);
 }
 
-/** Recording shape: reference/event counts and packed size. */
+/** Recording shape: reference/event counts and packed size. Takes
+ * the counts, not the recording, so a sweep that skipped its trace
+ * fetch reports the same values from the stored machine shard. */
 inline void
 exportRecordedTrace(MetricRegistry &m, const std::string &prefix,
-                    const RecordedTrace &trace)
+                    std::uint64_t references, std::uint64_t events)
 {
-    m.add(prefix + "/references", trace.size());
-    m.add(prefix + "/events", trace.events().size());
-    m.add(prefix + "/bytes", trace.byteSize());
-    if (!trace.empty())
+    const std::uint64_t bytes =
+        RecordedTrace::packedBytes(references, events);
+    m.add(prefix + "/references", references);
+    m.add(prefix + "/events", events);
+    m.add(prefix + "/bytes", bytes);
+    if (references != 0)
         m.set(prefix + "/bytes_per_ref",
-              double(trace.byteSize()) / double(trace.size()));
+              double(bytes) / double(references));
 }
 
 /**

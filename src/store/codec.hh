@@ -39,7 +39,11 @@ namespace oma::store
 
 /**
  * The reference-machine replay shard: everything task 0 of a sweep
- * contributes to the SweepResult and the run report.
+ * contributes to the SweepResult and the run report. It is written
+ * only by a replay of the whole recording, so it also carries what
+ * the sweep takes from the recording itself — the reference and
+ * event counts and otherCpi (raw f64 bits) — and a sweep whose every
+ * shard hits never fetches the trace.
  */
 struct MachineShard
 {
@@ -50,6 +54,9 @@ struct MachineShard
     std::uint64_t tlbStall = 0;
     std::uint64_t wbStores = 0;
     std::uint64_t wbStallCycles = 0;
+    std::uint64_t references = 0;
+    std::uint64_t events = 0;
+    double otherCpi = 0.0;
 };
 
 /** Serialize a recording (references, events, otherCpi) through the

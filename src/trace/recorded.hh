@@ -145,14 +145,19 @@ class RecordedTrace
     [[nodiscard]] std::uint64_t
     byteSize() const
     {
-        std::uint64_t bytes = _events.size() * sizeof(TraceEvent);
-        for (const Chunk &c : _chunks)
-            bytes += c.size() * packedRefBytes;
-        return bytes;
+        return packedBytes(_size, _events.size());
     }
 
     /** Packed storage cost of one reference (columns only). */
     static constexpr std::uint64_t packedRefBytes = 4 + 4 + 1 + 1;
+
+    /** byteSize() of a recording of @p references references and
+     * @p events events. */
+    [[nodiscard]] static constexpr std::uint64_t
+    packedBytes(std::uint64_t references, std::uint64_t events)
+    {
+        return events * sizeof(TraceEvent) + references * packedRefBytes;
+    }
 
     // ----- replay views -----
 

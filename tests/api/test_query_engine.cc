@@ -67,18 +67,14 @@ counter(const obs::Observation &obs, const char *name)
     return obs.metrics.counter(name);
 }
 
-TEST(QueryEngine, AnswerMatchesTheEnginesDrivenDirectly)
+/**
+ * The answer to @p request computed by the engines directly, the way
+ * the table benches did before the facade existed: the full
+ * exhaustive ranking, encoded and truncated to top_k.
+ */
+std::string
+directAnswer(const AllocationRequest &request)
 {
-    const AllocationRequest request = tinyRequest();
-
-    // The facade's answer (storeless, so pure compute).
-    QueryEngine engine;
-    obs::Observation obs;
-    const std::string answer = engine.answer(request, &obs);
-    EXPECT_EQ(counter(obs, "serve/computed"), 1u);
-
-    // The same question asked of the engines directly, the way the
-    // table benches did before the facade existed.
     ComponentSweep sweep(request.space.cacheGeometries(),
                          request.space.cacheGeometries(),
                          request.space.tlbGeometries());
@@ -104,10 +100,48 @@ TEST(QueryEngine, AnswerMatchesTheEnginesDrivenDirectly)
     expected.wbCpi = tables.wbCpi;
     expected.otherCpi = tables.otherCpi;
     expected.allocations = direct.allocations;
-    if (expected.allocations.size() > request.topK)
+    if (request.topK != 0 && expected.allocations.size() > request.topK)
         expected.allocations.resize(std::size_t(request.topK));
+    return encodeResponse(expected);
+}
 
-    EXPECT_EQ(answer, encodeResponse(expected));
+TEST(QueryEngine, AnswerMatchesTheEnginesDrivenDirectly)
+{
+    const AllocationRequest request = tinyRequest();
+
+    // The facade's answer (storeless, so pure compute).
+    QueryEngine engine;
+    obs::Observation obs;
+    const std::string answer = engine.answer(request, &obs);
+    EXPECT_EQ(counter(obs, "serve/computed"), 1u);
+    EXPECT_EQ(answer, directAnswer(request));
+}
+
+TEST(QueryEngine, BoundedTopKAnswersEqualTheTruncatedFullRanking)
+{
+    // The engine materializes only top_k allocations; every answer
+    // must still be byte-equal to the full ranking truncated, with
+    // in_budget counting every in-budget candidate.
+    AllocationRequest request = tinyRequest();
+    request.space.tlbEntries = {64, 128};
+    request.space.tlbWays = {1, 2};
+    request.space.lineWords = {4, 8};
+    QueryEngine engine;
+    for (const std::uint64_t top_k : {0u, 1u, 10u}) {
+        SCOPED_TRACE(top_k);
+        request.topK = top_k;
+        for (const unsigned threads : {1u, 4u}) {
+            request.threads = threads;
+            const std::string answer = engine.answer(request);
+            EXPECT_EQ(answer, directAnswer(request));
+            AllocationResponse response;
+            std::string error;
+            ASSERT_TRUE(decodeResponse(answer, response, error)) << error;
+            EXPECT_GT(response.inBudget, 10u);
+            EXPECT_EQ(response.allocations.size(),
+                      top_k == 0 ? response.inBudget : top_k);
+        }
+    }
 }
 
 TEST(QueryEngine, ThreadCountNeverChangesTheAnswer)

@@ -4,11 +4,13 @@
  * driven over its Unix-domain socket.
  *
  * A client that sends a request and closes before reading the reply
- * must not kill the daemon (it used to die of SIGPIPE, exit 141), and
- * a client that sends more than api::maxRequestBytes gets one
- * oma-error-v1 line instead of an unbounded read. Either failure is
- * counted in `serve/client_errors`, and the next well-formed query
- * gets the byte-identical answer a clean run gives.
+ * must not kill the daemon (it used to die of SIGPIPE, exit 141); a
+ * client that sends more than api::maxRequestBytes gets one
+ * oma-error-v1 line instead of an unbounded read; and a client that
+ * never half-closes is cut off at api::requestReadTimeoutMs instead
+ * of stalling every client behind it. Each failure is counted in
+ * `serve/client_errors`, and the next well-formed query gets the
+ * byte-identical answer a clean run gives.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +30,7 @@
 #include <unistd.h>
 
 #include "api/request.hh"
+#include "support/clock.hh"
 #include "tests/obs/jsonlite.hh"
 
 namespace oma::api
@@ -232,6 +235,47 @@ TEST(ServeSocket, OversizedRequestIsRefusedAndTheDaemonServesOn)
 
     // The next client is served, byte for byte as a clean run.
     EXPECT_EQ(ask(sock, line + "\n"), onceAnswer(line));
+
+    EXPECT_EQ(stopDaemon(pid, dir, sock), 1.0);
+    fs::remove_all(dir);
+}
+
+TEST(ServeSocket, StalledClientIsCutOffAtTheReadDeadline)
+{
+    const std::string dir = scratchDir("stalled");
+    const std::string sock = dir + "/serve.sock";
+    const std::string line = queryLine();
+    const std::string once = onceAnswer(line);
+    const pid_t pid = startDaemon(dir, sock);
+    ASSERT_GT(pid, 0);
+    ASSERT_TRUE(fs::exists(sock));
+
+    // The stalled client: a whole request line, but no half-close.
+    const int stalled = connectTo(sock);
+    ASSERT_GE(stalled, 0);
+    ASSERT_TRUE(sendAll(stalled, line + "\n"));
+
+    // A second client queues behind it and is served once the
+    // deadline cuts the first one off — not later.
+    const std::int64_t start_ns = Clock::nowNs();
+    EXPECT_EQ(ask(sock, line + "\n"), once);
+    EXPECT_LT(Clock::toMs(Clock::nowNs() - start_ns),
+              requestReadTimeoutMs + 3000.0);
+
+    // The stalled client got exactly one error line, then EOF.
+    std::string reply;
+    char buf[4096];
+    ssize_t n = 0;
+    while ((n = ::read(stalled, buf, sizeof buf)) > 0)
+        reply.append(buf, std::size_t(n));
+    ::close(stalled);
+    EXPECT_EQ(reply, encodeError("request not completed within " +
+                                 std::to_string(requestReadTimeoutMs) +
+                                 " ms") +
+                         "\n");
+
+    // The daemon serves on, byte for byte as a clean run.
+    EXPECT_EQ(ask(sock, line + "\n"), once);
 
     EXPECT_EQ(stopDaemon(pid, dir, sock), 1.0);
     fs::remove_all(dir);

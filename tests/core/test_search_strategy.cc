@@ -2,15 +2,18 @@
  * @file
  * Tests for the search strategies over the five-component space:
  * the exhaustive strategy reproduces AllocationSearch::rank bitwise
- * (pruning on or off, any thread count), cost-bound pruning never
- * discards an in-budget candidate, and the annealing strategy
- * recovers the exhaustive winner deterministically per seed while
- * evaluating a small fraction of the grid.
+ * (pruning on or off, any thread count), a bounded keep returns
+ * exactly the full ranking's prefix, ties included, cost-bound
+ * pruning never discards an in-budget candidate, and the annealing
+ * strategy recovers the exhaustive winner deterministically per seed
+ * while evaluating a small fraction of the grid.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "core/search_strategy.hh"
 
@@ -192,6 +195,158 @@ TEST(ExhaustiveStrategy, PruningOnlySkipsOverBudgetCandidates)
     const SearchSpace tight(tables, AreaModel(), 30000.0);
     EXPECT_GT(ExhaustiveStrategy(true).search(tight).prunedSubspaces,
               0u);
+}
+
+/** Index of the first allocation where @p a and @p b differ in any
+ * field (doubles bitwise), or npos when the lists are identical. A
+ * plain function rather than per-field EXPECTs: the lists here run
+ * to hundreds of thousands of entries. */
+std::size_t
+firstDifference(const std::vector<Allocation> &a,
+                const std::vector<Allocation> &b)
+{
+    const auto same = [](const Allocation &x, const Allocation &y) {
+        return x.rank == y.rank && x.tlb.entries == y.tlb.entries &&
+            x.tlb.assoc == y.tlb.assoc &&
+            x.icache.capacityBytes == y.icache.capacityBytes &&
+            x.icache.lineBytes == y.icache.lineBytes &&
+            x.icache.assoc == y.icache.assoc &&
+            x.dcache.capacityBytes == y.dcache.capacityBytes &&
+            x.dcache.lineBytes == y.dcache.lineBytes &&
+            x.dcache.assoc == y.dcache.assoc &&
+            x.victimEntries == y.victimEntries &&
+            x.wbEntries == y.wbEntries && x.hasL2 == y.hasL2 &&
+            x.unified == y.unified &&
+            x.l2.capacityBytes == y.l2.capacityBytes &&
+            sameBits(x.cpi, y.cpi) && sameBits(x.areaRbe, y.areaRbe) &&
+            sameBits(x.tlbCpi, y.tlbCpi) &&
+            sameBits(x.icacheCpi, y.icacheCpi) &&
+            sameBits(x.dcacheCpi, y.dcacheCpi) &&
+            sameBits(x.hierarchyCpi, y.hierarchyCpi) &&
+            sameBits(x.wbCpi, y.wbCpi);
+    };
+    const std::size_t n = std::min(a.size(), b.size());
+    for (std::size_t i = 0; i < n; ++i)
+        if (!same(a[i], b[i]))
+            return i;
+    return a.size() == b.size() ? std::string::npos : n;
+}
+
+/**
+ * Differential check of the bounded exhaustive strategy: for K in
+ * {1, 10, in_budget - 1, in_budget, in_budget + 5}, keeping K
+ * returns exactly the first K of the full ranking (geometry, CPI
+ * bits, rank) and the same work and in-budget counts.
+ */
+void
+expectBoundedIsFullPrefix(const SearchSpace &space, bool prune,
+                          unsigned threads)
+{
+    const SearchResult full =
+        ExhaustiveStrategy(prune).search(space, threads);
+    const std::uint64_t n = full.allocations.size();
+    ASSERT_EQ(full.inBudget, n);
+    ASSERT_GT(n, 11u);
+    for (const std::uint64_t keep :
+         {std::uint64_t(1), std::uint64_t(10), n - 1, n, n + 5}) {
+        SCOPED_TRACE(keep);
+        const SearchResult bounded =
+            ExhaustiveStrategy(prune, keep).search(space, threads);
+        const std::vector<Allocation> prefix(
+            full.allocations.begin(),
+            full.allocations.begin() +
+                std::ptrdiff_t(std::min(keep, n)));
+        EXPECT_EQ(firstDifference(bounded.allocations, prefix),
+                  std::string::npos);
+        EXPECT_EQ(bounded.inBudget, full.inBudget);
+        EXPECT_EQ(bounded.candidates, full.candidates);
+        EXPECT_EQ(bounded.evaluations, full.evaluations);
+        EXPECT_EQ(bounded.prunedSubspaces, full.prunedSubspaces);
+    }
+}
+
+TEST(ExhaustiveStrategy, BoundedKeepIsTheFullRankingsPrefix)
+{
+    for (const bool extended : {false, true}) {
+        const ComponentCpiTables tables =
+            extended ? syntheticExtendedTables() : syntheticTables();
+        // A tighter extended budget keeps the full rankings this
+        // compares against to tens of thousands of entries.
+        const SearchSpace space(tables, AreaModel(),
+                                extended ? 120000.0 : kBudget);
+        for (const bool prune : {true, false}) {
+            for (const unsigned threads : {1u, 4u}) {
+                SCOPED_TRACE(std::string(extended ? "extended" : "classic") +
+                             (prune ? " pruned" : " unpruned") +
+                             ", threads " + std::to_string(threads));
+                expectBoundedIsFullPrefix(space, prune, threads);
+            }
+        }
+    }
+}
+
+/** A hand-built space whose CPIs tie exactly (dyadic contributions
+ * add without rounding): TLBs 1 and 2 tie, I-caches 1 and 2 tie,
+ * and both D-caches tie, so eight allocations share the best CPI. */
+ComponentCpiTables
+tiedTables()
+{
+    ComponentCpiTables tables;
+    tables.baseCpi = 1.0;
+    tables.tlbGeoms = {TlbGeometry::fullyAssoc(32), TlbGeometry(64, 2),
+                       TlbGeometry(128, 2)};
+    tables.tlbCpi = {0.5, 0.25, 0.25};
+    for (const std::uint64_t kb : {2, 4, 8, 16})
+        tables.icacheGeoms.push_back(
+            CacheGeometry::fromWords(kb * 1024, 4, 1));
+    tables.icacheCpi = {0.25, 0.125, 0.125, 0.25};
+    for (const std::uint64_t kb : {2, 4})
+        tables.dcacheGeoms.push_back(
+            CacheGeometry::fromWords(kb * 1024, 4, 1));
+    tables.dcacheCpi = {0.125, 0.125};
+    return tables;
+}
+
+TEST(ExhaustiveStrategy, BoundedKeepPinsTheTieOrder)
+{
+    const ComponentCpiTables tables = tiedTables();
+    const SearchSpace space(tables, AreaModel(), 1e12);
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        const SearchResult full = ExhaustiveStrategy().search(space, threads);
+        ASSERT_EQ(full.allocations.size(), 24u);
+        // The tie order is the emission order: TLB, then I-cache,
+        // then D-cache index.
+        std::size_t r = 0;
+        for (const std::size_t t : {1, 2}) {
+            for (const std::size_t i : {1, 2}) {
+                for (const std::size_t d : {0, 1}) {
+                    SCOPED_TRACE(r);
+                    const Allocation &a = full.allocations[r++];
+                    EXPECT_EQ(a.cpi, 1.5);
+                    EXPECT_EQ(a.rank, r);
+                    EXPECT_EQ(a.tlb.entries, tables.tlbGeoms[t].entries);
+                    EXPECT_EQ(a.icache.capacityBytes,
+                              tables.icacheGeoms[i].capacityBytes);
+                    EXPECT_EQ(a.dcache.capacityBytes,
+                              tables.dcacheGeoms[d].capacityBytes);
+                }
+            }
+        }
+        // Every bound reproduces that order, across shard seams.
+        for (std::uint64_t keep = 1; keep <= 26; ++keep) {
+            SCOPED_TRACE(keep);
+            const SearchResult bounded =
+                ExhaustiveStrategy(true, keep).search(space, threads);
+            const std::vector<Allocation> prefix(
+                full.allocations.begin(),
+                full.allocations.begin() +
+                    std::ptrdiff_t(std::min<std::uint64_t>(keep, 24)));
+            EXPECT_EQ(firstDifference(bounded.allocations, prefix),
+                      std::string::npos);
+            EXPECT_EQ(bounded.inBudget, 24u);
+        }
+    }
 }
 
 TEST(ExhaustiveStrategy, LooseBudgetEvaluatesEverything)

@@ -1,10 +1,11 @@
 /**
  * @file
  * End-to-end contract of store-backed sweeps: a cold run (fills the
- * store), a warm run (replays from it, record phase skipped), and a
- * resumed run after a mid-sweep kill must all be bitwise identical
- * to a live no-store sweep — at 1 and 4 threads — and corrupt
- * entries must fall back to live simulation, never to wrong data.
+ * store), a warm run (every shard hits, so not even the trace is
+ * fetched), and a resumed run after a mid-sweep kill must all be
+ * bitwise identical to a live no-store sweep — at 1 and 4 threads —
+ * and missing or corrupt entries must fall back to fetching the
+ * trace or simulating live, never to wrong data.
  */
 
 #include <gtest/gtest.h>
@@ -13,12 +14,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <iterator>
 #include <string>
 
 #include <unistd.h>
 
 #include "core/sweep.hh"
 #include "obs/metrics.hh"
+#include "store/store.hh"
 
 namespace oma
 {
@@ -154,6 +158,53 @@ storeEntries(const std::string &dir)
     return entries;
 }
 
+/** The one store entry whose key text contains every line of
+ * @p key_lines (each a complete `name=value` fingerprint line). */
+fs::path
+entryWithKey(const std::string &dir,
+             std::initializer_list<std::string> key_lines)
+{
+    std::vector<fs::path> found;
+    for (const fs::path &path : storeEntries(dir)) {
+        std::ifstream f(path, std::ios::binary);
+        const std::string bytes((std::istreambuf_iterator<char>(f)),
+                                std::istreambuf_iterator<char>());
+        bool all = true;
+        for (const std::string &line : key_lines)
+            all = all && bytes.find("\n" + line + "\n") != std::string::npos;
+        if (all)
+            found.push_back(path);
+    }
+    EXPECT_EQ(found.size(), 1u);
+    return found.empty() ? fs::path() : found.front();
+}
+
+fs::path
+machineEntry(const std::string &dir)
+{
+    return entryWithKey(dir, {"artifact=5:shard", "component=7:machine"});
+}
+
+fs::path
+traceEntry(const std::string &dir)
+{
+    return entryWithKey(dir, {"artifact=5:trace"});
+}
+
+/** Flip the last byte (payload tail) of @p path, so its checksum
+ * fails on the next load. */
+void
+corruptEntry(const fs::path &path)
+{
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekg(-1, std::ios::end);
+    char last = 0;
+    f.get(last);
+    f.seekp(-1, std::ios::end);
+    const char flipped = char(last ^ 0x40);
+    f.write(&flipped, 1);
+}
+
 TEST(StoreSweep, ColdAndWarmRunsMatchTheLiveResultBitwise)
 {
     const ComponentSweep sweep = sweepUnderTest();
@@ -170,6 +221,8 @@ TEST(StoreSweep, ColdAndWarmRunsMatchTheLiveResultBitwise)
         expectSameSweepResult(live, cold);
         EXPECT_EQ(cold_obs.metrics.counter("sweep/records"), 1u);
         EXPECT_EQ(cold_obs.metrics.counter("store/trace_hits"), 0u);
+        EXPECT_EQ(cold_obs.metrics.counter("sweep/trace_fetch_skips"),
+                  0u);
         // Everything persisted: the recording plus one shard per task.
         EXPECT_EQ(cold_obs.metrics.counter("store/writes"),
                   1 + taskCount());
@@ -179,14 +232,25 @@ TEST(StoreSweep, ColdAndWarmRunsMatchTheLiveResultBitwise)
             sweep.run(BenchmarkId::Mab, OsKind::Mach,
                       storeRun(dir, threads), &warm_obs);
         expectSameSweepResult(live, warm);
-        // The warm run does zero record-phase work and zero writes.
+        // The warm run does zero record-phase work, never fetches
+        // the trace and writes nothing: one shard per task is all it
+        // reads.
         EXPECT_EQ(warm_obs.metrics.counter("sweep/records"), 0u);
         EXPECT_EQ(warm_obs.metrics.counter("sweep/record_skips"), 1u);
-        EXPECT_EQ(warm_obs.metrics.counter("store/trace_hits"), 1u);
-        EXPECT_EQ(warm_obs.metrics.counter("store/hits"),
-                  1 + taskCount());
+        EXPECT_EQ(warm_obs.metrics.counter("store/trace_hits"), 0u);
+        EXPECT_EQ(warm_obs.metrics.counter("sweep/trace_fetch_skips"),
+                  1u);
+        EXPECT_EQ(warm_obs.metrics.counter("store/hits"), taskCount());
         EXPECT_EQ(warm_obs.metrics.counter("store/misses"), 0u);
         EXPECT_EQ(warm_obs.metrics.counter("store/writes"), 0u);
+        // The machine shard reproduces the recording's report counters.
+        for (const char *name :
+             {"trace/references", "trace/events", "trace/bytes"}) {
+            EXPECT_EQ(warm_obs.metrics.counter(name),
+                      cold_obs.metrics.counter(name))
+                << name;
+        }
+        EXPECT_GT(warm_obs.metrics.counter("trace/bytes"), 0u);
         fs::remove_all(dir);
     }
 }
@@ -204,7 +268,8 @@ TEST(StoreSweep, WarmReuseIsThreadCountInvariant)
         sweep.run(BenchmarkId::Mpeg, OsKind::Ultrix, storeRun(dir, 4),
                   &warm_obs);
     expectSameSweepResult(cold, warm);
-    EXPECT_EQ(warm_obs.metrics.counter("store/hits"), 1 + taskCount());
+    // One hit per shard; the trace is not read.
+    EXPECT_EQ(warm_obs.metrics.counter("store/hits"), taskCount());
     fs::remove_all(dir);
 }
 
@@ -235,16 +300,8 @@ TEST(StoreSweep, CorruptEntriesFallBackToLiveSimulation)
     // fail, every load quarantines, and the sweep re-simulates.
     const auto entries = storeEntries(dir);
     ASSERT_EQ(entries.size(), 1 + taskCount());
-    for (const fs::path &path : entries) {
-        std::fstream f(path,
-                       std::ios::binary | std::ios::in | std::ios::out);
-        f.seekg(-1, std::ios::end);
-        char last = 0;
-        f.get(last);
-        f.seekp(-1, std::ios::end);
-        const char flipped = char(last ^ 0x40);
-        f.write(&flipped, 1);
-    }
+    for (const fs::path &path : entries)
+        corruptEntry(path);
 
     obs::Observation observation;
     const SweepResult recovered =
@@ -262,7 +319,7 @@ TEST(StoreSweep, CorruptEntriesFallBackToLiveSimulation)
         BenchmarkId::Mab, OsKind::Mach, storeRun(dir, 2), &warm_obs);
     expectSameSweepResult(live, warm);
     EXPECT_EQ(warm_obs.metrics.counter("store/misses"), 0u);
-    EXPECT_EQ(warm_obs.metrics.counter("store/hits"), 1 + taskCount());
+    EXPECT_EQ(warm_obs.metrics.counter("store/hits"), taskCount());
     fs::remove_all(dir);
 }
 
@@ -321,6 +378,139 @@ TEST(StoreSweep, KilledSweepResumesFromPersistedShards)
     expectSameSweepResult(live, warm);
     EXPECT_EQ(warm_obs.metrics.counter("store/misses"), 0u);
     fs::remove_all(dir);
+}
+
+TEST(StoreSweep, DeletedSlotShardFetchesTheTraceOnceAndWritesOnlyIt)
+{
+    const ComponentSweep sweep = sweepUnderTest();
+    const SweepResult live = sweep.run(BenchmarkId::Mab, OsKind::Mach,
+                                       storeRun("", 1));
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        const std::string dir = freshStoreDir("deleted_shard");
+        (void)sweep.run(BenchmarkId::Mab, OsKind::Mach,
+                        storeRun(dir, threads));
+        const fs::path shard = entryWithKey(
+            dir, {"artifact=5:shard", "component=6:icache", "index=1"});
+        ASSERT_TRUE(fs::remove(shard));
+
+        obs::Observation observation;
+        const SweepResult result =
+            sweep.run(BenchmarkId::Mab, OsKind::Mach,
+                      storeRun(dir, threads), &observation);
+        expectSameSweepResult(live, result);
+        const obs::MetricRegistry &m = observation.metrics;
+        // One trace get (a hit), no record, one one-pass slot.
+        EXPECT_EQ(m.counter("store/trace_hits"), 1u);
+        EXPECT_EQ(m.counter("sweep/records"), 0u);
+        EXPECT_EQ(m.counter("sweep/trace_fetch_skips"), 0u);
+        EXPECT_EQ(m.counter("replay/onepass_slots"), 1u);
+        EXPECT_EQ(m.counter("store/hits"), 1 + taskCount() - 1);
+        EXPECT_EQ(m.counter("store/misses"), 1u);
+        EXPECT_EQ(m.counter("store/writes"), 1u);
+        EXPECT_TRUE(fs::exists(shard));
+        fs::remove_all(dir);
+    }
+}
+
+TEST(StoreSweep, UnreadableMachineShardFetchesTheTraceAndRewritesIt)
+{
+    // The machine shard stands in for the recording on a fully warm
+    // sweep. Deleted, failing its checksum, or in the earlier
+    // seven-counter format (checksum-valid but undecodable), it is a
+    // miss: the trace is fetched, the machine replayed and its shard
+    // rewritten, and the next run skips the fetch again.
+    const ComponentSweep sweep = sweepUnderTest();
+    const SweepResult live = sweep.run(BenchmarkId::Mab, OsKind::Mach,
+                                       storeRun("", 1));
+    for (const std::string mode : {"deleted", "corrupt", "old-format"}) {
+        for (unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE(mode + " machine shard, threads " +
+                         std::to_string(threads));
+            const std::string dir = freshStoreDir("machine");
+            (void)sweep.run(BenchmarkId::Mab, OsKind::Mach,
+                            storeRun(dir, threads));
+            const fs::path machine = machineEntry(dir);
+            if (mode == "deleted") {
+                ASSERT_TRUE(fs::remove(machine));
+            } else if (mode == "corrupt") {
+                corruptEntry(machine);
+            } else {
+                // Rewrite the entry with only the first seven counters
+                // of its payload (40-byte header, key text, payload).
+                std::ifstream f(machine, std::ios::binary);
+                const std::string bytes(
+                    (std::istreambuf_iterator<char>(f)),
+                    std::istreambuf_iterator<char>());
+                const std::size_t payload_bytes = 10 * 8;
+                const std::size_t header_bytes = 40;
+                ASSERT_GT(bytes.size(), header_bytes + payload_bytes);
+                const std::string key_text = bytes.substr(
+                    header_bytes,
+                    bytes.size() - header_bytes - payload_bytes);
+                const std::string old_payload =
+                    bytes.substr(bytes.size() - payload_bytes, 7 * 8);
+                f.close();
+                ArtifactStore::writeEntryFile(machine.string(), key_text,
+                                              old_payload);
+            }
+
+            obs::Observation observation;
+            const SweepResult result =
+                sweep.run(BenchmarkId::Mab, OsKind::Mach,
+                          storeRun(dir, threads), &observation);
+            expectSameSweepResult(live, result);
+            const obs::MetricRegistry &m = observation.metrics;
+            EXPECT_EQ(m.counter("store/trace_hits"), 1u);
+            EXPECT_EQ(m.counter("sweep/records"), 0u);
+            EXPECT_EQ(m.counter("sweep/trace_fetch_skips"), 0u);
+            EXPECT_EQ(m.counter("store/quarantined"),
+                      mode == "corrupt" ? 1u : 0u);
+            // Only the machine shard is rewritten; no slot replays.
+            EXPECT_EQ(m.counter("store/writes"), 1u);
+            EXPECT_EQ(m.counter("replay/onepass_slots"), 0u);
+            EXPECT_EQ(m.counter("replay/per_config_slots"), 0u);
+
+            obs::Observation next_obs;
+            const SweepResult next =
+                sweep.run(BenchmarkId::Mab, OsKind::Mach,
+                          storeRun(dir, threads), &next_obs);
+            expectSameSweepResult(live, next);
+            EXPECT_EQ(next_obs.metrics.counter("sweep/trace_fetch_skips"),
+                      1u);
+            EXPECT_EQ(next_obs.metrics.counter("store/trace_hits"), 0u);
+            EXPECT_EQ(next_obs.metrics.counter("store/misses"), 0u);
+            fs::remove_all(dir);
+        }
+    }
+}
+
+TEST(StoreSweep, DeletedTraceWithEveryShardPresentDoesNotRecord)
+{
+    const ComponentSweep sweep = sweepUnderTest();
+    const SweepResult live = sweep.run(BenchmarkId::Mab, OsKind::Mach,
+                                       storeRun("", 1));
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        const std::string dir = freshStoreDir("deleted_trace");
+        (void)sweep.run(BenchmarkId::Mab, OsKind::Mach,
+                        storeRun(dir, threads));
+        ASSERT_TRUE(fs::remove(traceEntry(dir)));
+
+        obs::Observation observation;
+        const SweepResult result =
+            sweep.run(BenchmarkId::Mab, OsKind::Mach,
+                      storeRun(dir, threads), &observation);
+        expectSameSweepResult(live, result);
+        const obs::MetricRegistry &m = observation.metrics;
+        EXPECT_EQ(m.counter("sweep/records"), 0u);
+        EXPECT_EQ(m.counter("sweep/record_skips"), 1u);
+        EXPECT_EQ(m.counter("sweep/trace_fetch_skips"), 1u);
+        EXPECT_EQ(m.counter("store/trace_hits"), 0u);
+        EXPECT_EQ(m.counter("store/misses"), 0u);
+        EXPECT_EQ(m.counter("store/writes"), 0u);
+        fs::remove_all(dir);
+    }
 }
 
 } // namespace

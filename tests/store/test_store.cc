@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -544,6 +546,9 @@ TEST(StoreCodec, CounterShardsRoundTrip)
     sh.tlbStall = 5;
     sh.wbStores = 6;
     sh.wbStallCycles = 7;
+    sh.references = 8;
+    sh.events = 9;
+    sh.otherCpi = 0.1;
     store::MachineShard sh2;
     ASSERT_TRUE(
         store::decodeMachineShard(store::encodeMachineShard(sh), sh2));
@@ -554,6 +559,10 @@ TEST(StoreCodec, CounterShardsRoundTrip)
     EXPECT_EQ(sh2.tlbStall, 5u);
     EXPECT_EQ(sh2.wbStores, 6u);
     EXPECT_EQ(sh2.wbStallCycles, 7u);
+    EXPECT_EQ(sh2.references, 8u);
+    EXPECT_EQ(sh2.events, 9u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sh2.otherCpi),
+              std::bit_cast<std::uint64_t>(0.1));
 
     // Truncated counter shards are framing mismatches, not UB.
     EXPECT_FALSE(store::decodeCacheStats("", cs2));

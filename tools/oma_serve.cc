@@ -15,9 +15,10 @@
  *    its last line) and keeps running until a control line
  *    `{"schema":"oma-control-v1","cmd":"shutdown"}` arrives. A client
  *    that resets the connection or hangs up before reading its reply,
- *    or sends more than api::maxRequestBytes (it gets one oma-error-v1
- *    line), is counted in `serve/client_errors`; the daemon serves
- *    on.
+ *    sends more than api::maxRequestBytes, or has not half-closed
+ *    within api::requestReadTimeoutMs (either of the last two gets
+ *    one oma-error-v1 line), is counted in `serve/client_errors`; the
+ *    daemon serves on.
  *
  * Identical lines in one batch coalesce onto a single computation
  * (`serve/dedup_hits`), repeated questions across batches are served
@@ -28,6 +29,7 @@
  */
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -35,6 +37,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -42,6 +45,7 @@
 #include "api/query_engine.hh"
 #include "api/request.hh"
 #include "obs/report.hh"
+#include "support/clock.hh"
 #include "support/logging.hh"
 
 namespace
@@ -199,15 +203,30 @@ enum class ReadResult
     Complete, //!< EOF within api::maxRequestBytes.
     Failed,   //!< The client reset the connection.
     TooLarge, //!< More than api::maxRequestBytes arrived.
+    TimedOut, //!< No EOF within api::requestReadTimeoutMs.
 };
 
 /** Read until EOF on @p fd into @p text, stopping as soon as the
- * request exceeds api::maxRequestBytes. */
+ * request exceeds api::maxRequestBytes or the connection's read
+ * deadline passes. Before each read, SO_RCVTIMEO is set to the time
+ * left, so the deadline bounds the whole request, not each read. */
 ReadResult
 readRequest(int fd, std::string &text)
 {
+    const std::int64_t deadline_ns = Clock::nowNs() +
+        std::int64_t(api::requestReadTimeoutMs) * 1000000;
     char buf[4096];
     while (true) {
+        const std::int64_t left_us =
+            (deadline_ns - Clock::nowNs()) / 1000;
+        if (left_us <= 0)
+            return ReadResult::TimedOut;
+        timeval timeout{};
+        timeout.tv_sec = time_t(left_us / 1000000);
+        timeout.tv_usec = suseconds_t(left_us % 1000000);
+        if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof timeout) != 0)
+            return ReadResult::Failed;
         const ssize_t n = ::read(fd, buf, sizeof buf);
         if (n > 0) {
             text.append(buf, std::size_t(n));
@@ -219,6 +238,8 @@ readRequest(int fd, std::string &text)
             return ReadResult::Complete;
         if (errno == EINTR)
             continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK)
+            return ReadResult::TimedOut;
         return ReadResult::Failed;
     }
 }
@@ -314,6 +335,13 @@ serveSocket(api::QueryEngine &engine, const std::string &path,
           case ReadResult::TooLarge: {
             const std::string why = "request exceeds " +
                 std::to_string(api::maxRequestBytes) + " bytes";
+            clientError(observation, why);
+            reply = api::encodeError(why) + '\n';
+            break;
+          }
+          case ReadResult::TimedOut: {
+            const std::string why = "request not completed within " +
+                std::to_string(api::requestReadTimeoutMs) + " ms";
             clientError(observation, why);
             reply = api::encodeError(why) + '\n';
             break;
