@@ -7,9 +7,9 @@
 
 #include <utility>
 
-#include "api/json.hh"
 #include "os/osmodel.hh"
 #include "store/store.hh"
+#include "support/json.hh"
 #include "trace/tracefile.hh"
 #include "workload/workload.hh"
 

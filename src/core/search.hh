@@ -19,7 +19,6 @@
 
 #include "area/mqf.hh"
 #include "core/sweep.hh"
-#include "support/deprecated.hh"
 
 namespace oma
 {
@@ -147,45 +146,6 @@ struct Allocation
         return victimEntries != 0 || wbEntries != 0 || hasL2 ||
             unified;
     }
-};
-
-/**
- * Exhaustive cost/benefit search over the configuration space.
- */
-class AllocationSearch
-{
-  public:
-    AllocationSearch(const AreaModel &area, double budget_rbe);
-
-    /**
-     * Rank every in-budget combination of the measured components.
-     *
-     * @param tables Suite-averaged per-component CPI contributions.
-     * @param max_cache_ways Associativity restriction (8 = Table 6,
-     *        2 = Table 7).
-     * @param threads Execution lanes for the scoring loop; 0 = one
-     *        per hardware thread, 1 = serial. The enumeration is
-     *        sharded by TLB geometry and stitched back in TLB order,
-     *        so the ranking (ties included) is bitwise identical for
-     *        every thread count.
-     * @param observation Optional metrics/progress sink (candidate
-     *        and in-budget counts, phase timing); attaching one never
-     *        changes the ranking.
-     * @return all in-budget allocations, best (lowest CPI) first.
-     */
-    OMA_DEPRECATED("phrase the query as an api::AllocationRequest and "
-                   "rank through api::QueryEngine (api/query_engine.hh)")
-    [[nodiscard]] std::vector<Allocation>
-    rank(const ComponentCpiTables &tables,
-         std::uint64_t max_cache_ways = 8, unsigned threads = 0,
-         obs::Observation *observation = nullptr) const;
-
-    [[nodiscard]] double budget() const { return _budget; }
-    [[nodiscard]] const AreaModel &areaModel() const { return _area; }
-
-  private:
-    AreaModel _area;
-    double _budget;
 };
 
 } // namespace oma

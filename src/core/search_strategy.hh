@@ -2,7 +2,7 @@
  * @file
  * Search strategies over the five-component allocation space.
  *
- * The exhaustive allocator (AllocationSearch::rank) scores every
+ * The exhaustive allocator (ExhaustiveStrategy) scores every
  * in-budget combination of TLB, fetch-side organization (plain
  * I-cache or direct-mapped L1 + victim buffer), D-cache, write
  * buffer and hierarchy replacement. That is the gold standard — and
@@ -273,10 +273,9 @@ class SearchStrategy
  * Emits split allocations in (TLB, fetch-side, D-cache, write
  * buffer) order then hierarchy allocations in (TLB, hierarchy,
  * write buffer) order, sharded by TLB geometry and stitched back in
- * TLB order, then stable-sorts by CPI — bitwise identical to the
- * historical AllocationSearch::rank for every thread count, with
- * pruning on or off (pruned subgrids contain only over-budget
- * candidates).
+ * TLB order, then stable-sorts by CPI — bitwise identical for every
+ * thread count, with pruning on or off (pruned subgrids contain only
+ * over-budget candidates).
  *
  * A non-zero @p keep bounds the ranking to its first @p keep
  * allocations without materializing the rest: each TLB shard keeps

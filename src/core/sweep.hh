@@ -33,7 +33,6 @@
 #include "machine/machine.hh"
 #include "obs/metrics.hh"
 #include "store/store.hh"
-#include "support/deprecated.hh"
 #include "support/logging.hh"
 #include "tlb/tapeworm.hh"
 #include "trace/recorded.hh"
@@ -395,17 +394,6 @@ class ComponentSweep
     run(const WorkloadParams &workload, OsKind os,
         const RunConfig &run = RunConfig(),
         obs::Observation *observation = nullptr) const;
-
-    OMA_DEPRECATED("phrase the query as an api::AllocationRequest and "
-                    "sweep through api::QueryEngine (api/query_engine.hh)")
-    [[nodiscard]] SweepResult
-    run(BenchmarkId id, OsKind os,
-        const RunConfig &run_config = RunConfig(),
-        obs::Observation *observation = nullptr) const
-    {
-        return this->run(benchmarkParams(id), os, run_config,
-                         observation);
-    }
 
     /**
      * Sweep an existing recording (e.g. System::record output or a

@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "api/json.hh"
 #include "api/request.hh"
+#include "support/json.hh"
 
 namespace oma::api
 {
@@ -278,6 +278,31 @@ TEST(ApiCodec, ErrorEnvelopeIsWellFormed)
     ASSERT_NE(doc.find("error"), nullptr);
     EXPECT_EQ(doc.find("error")->string,
               "request.seed: bad \"value\"");
+}
+
+TEST(ApiCodec, InvalidUtf8EarnsAParseableError)
+{
+    // An unknown key made of invalid UTF-8 bytes, and an os value
+    // with an overlong '/', spliced into a valid request: each earns
+    // an oma-error-v1 line that is itself valid JSON.
+    const std::string wire = encodeRequest(AllocationRequest());
+    std::string bad_os = wire;
+    const std::size_t os = bad_os.find("\"os\":\"");
+    ASSERT_NE(os, std::string::npos);
+    bad_os.insert(os + 6, "\xc0\xaf");
+    for (const std::string &text :
+         {"{\"\xff\xfe\":1," + wire.substr(1), bad_os}) {
+        AllocationRequest out;
+        std::string error;
+        EXPECT_FALSE(decodeRequest(text, out, error)) << text;
+        EXPECT_NE(error.find("invalid UTF-8"), std::string::npos) << error;
+        JsonValue doc;
+        std::string parse_error;
+        ASSERT_TRUE(parseJson(encodeError(error), doc, parse_error))
+            << parse_error;
+        ASSERT_NE(doc.find("schema"), nullptr);
+        EXPECT_EQ(doc.find("schema")->string, errorSchema);
+    }
 }
 
 TEST(ApiCodec, NameTablesRoundTrip)

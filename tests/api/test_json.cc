@@ -1,6 +1,6 @@
 /**
  * @file
- * Strict JSON parser/writer tests (src/api/json).
+ * Strict JSON parser/writer tests (src/support/json).
  *
  * The wire grammar is deliberately narrow — no duplicate keys, no
  * trailing garbage, bounded nesting, raw number tokens preserved —
@@ -13,9 +13,9 @@
 
 #include <string>
 
-#include "api/json.hh"
+#include "support/json.hh"
 
-namespace oma::api
+namespace oma
 {
 namespace
 {
@@ -127,6 +127,48 @@ TEST(ApiJson, RejectsMalformedDocuments)
     expectReject("{} garbage");
 }
 
+TEST(ApiJson, RejectsInvalidUtf8WithAPosition)
+{
+    // Well-formed text passes unchanged, as a value and as a key: the
+    // first and last code point of every encoded length, around the
+    // surrogate gap.
+    for (const std::string text :
+         {"\xc2\x80", "\xdf\xbf", "\xe0\xa0\x80", "\xed\x9f\xbf",
+          "\xee\x80\x80", "\xef\xbf\xbf", "\xf0\x90\x80\x80",
+          "\xf4\x8f\xbf\xbf", "caf\xc3\xa9 \xe2\x82\xac"}) {
+        EXPECT_EQ(parseOk("\"" + text + "\"").string, text);
+        EXPECT_NE(parseOk("{\"" + text + "\":1}").find(text), nullptr);
+    }
+    // RFC 8259 §8.1: JSON text is UTF-8. Each sequence is refused in
+    // a value and in a key, with the offset of its first byte.
+    for (const std::string bytes : {
+             "\x80", "\xbf",                  // stray continuation
+             "\xc0\xaf", "\xc1\xbf",          // overlong 2-byte
+             "\xe0\x80\xaf", "\xe0\x9f\xbf",  // overlong 3-byte
+             "\xf0\x80\x80\xaf",              // overlong 4-byte
+             "\xed\xa0\x80", "\xed\xbf\xbf",  // U+D800, U+DFFF
+             "\xf4\x90\x80\x80", "\xf5\x80\x80\x80", // over U+10FFFF
+             "\xfe", "\xff",                  // never in UTF-8
+             "\xc3", "\xe2\x82", "\xf0\x9f\x98", // truncated
+             "\xe2\x28\xa1", "\xf0\x9f\x98\x28", // bad continuation
+         }) {
+        for (const std::string &text :
+             {"\"ab" + bytes + "\"", "{\"ab" + bytes + "\":1}"}) {
+            JsonValue value;
+            std::string error;
+            EXPECT_FALSE(parseJson(text, value, error)) << text;
+            const std::size_t at = text.find(bytes);
+            EXPECT_NE(error.find("invalid UTF-8"), std::string::npos)
+                << error;
+            EXPECT_NE(error.find("at byte " + std::to_string(at)),
+                      std::string::npos)
+                << error;
+        }
+    }
+    // A sequence cut off by the end of input.
+    expectReject("\"\xc3");
+}
+
 TEST(ApiJson, RejectsDuplicateKeys)
 {
     expectReject("{\"a\":1,\"a\":2}");
@@ -173,4 +215,4 @@ TEST(ApiJson, AppendHelpersEscapeAndFormat)
 }
 
 } // namespace
-} // namespace oma::api
+} // namespace oma

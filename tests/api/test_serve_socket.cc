@@ -9,8 +9,10 @@
  * oma-error-v1 line instead of an unbounded read; and a client that
  * never half-closes is cut off at api::requestReadTimeoutMs instead
  * of stalling every client behind it. Each failure is counted in
- * `serve/client_errors`, and the next well-formed query gets the
- * byte-identical answer a clean run gives.
+ * `serve/client_errors`. A client that sends garbage bytes gets one
+ * parseable oma-error-v1 line. After every fault the next
+ * well-formed query gets the byte-identical answer a clean run
+ * gives.
  */
 
 #include <gtest/gtest.h>
@@ -31,7 +33,7 @@
 
 #include "api/request.hh"
 #include "support/clock.hh"
-#include "tests/obs/jsonlite.hh"
+#include "support/json.hh"
 
 namespace oma::api
 {
@@ -184,10 +186,14 @@ stopDaemon(pid_t pid, const std::string &dir, const std::string &sock)
         return -1.0;
     std::stringstream text;
     text << report.rdbuf();
-    omatest::JsonLite doc;
-    if (!doc.parse(text.str()))
-        return -1.0;
-    return doc.num("counters.serve/client_errors");
+    JsonValue doc;
+    std::string error;
+    const JsonValue *counters =
+        parseJson(text.str(), doc, error) ? doc.find("counters") : nullptr;
+    const JsonValue *errors = counters != nullptr
+        ? counters->find("serve/client_errors") : nullptr;
+    double count = -1.0;
+    return errors != nullptr && errors->asReal(count) ? count : -1.0;
 }
 
 TEST(ServeSocket, EarlyHangUpDoesNotKillTheDaemon)
@@ -278,6 +284,40 @@ TEST(ServeSocket, StalledClientIsCutOffAtTheReadDeadline)
     EXPECT_EQ(ask(sock, line + "\n"), once);
 
     EXPECT_EQ(stopDaemon(pid, dir, sock), 1.0);
+    fs::remove_all(dir);
+}
+
+TEST(ServeSocket, GarbageBytesGetOneErrorLineAndTheDaemonServesOn)
+{
+    const std::string dir = scratchDir("garbage");
+    const std::string sock = dir + "/serve.sock";
+    const std::string line = queryLine();
+    const std::string once = onceAnswer(line);
+    const pid_t pid = startDaemon(dir, sock);
+    ASSERT_GT(pid, 0);
+    ASSERT_TRUE(fs::exists(sock));
+
+    // NUL, 0xff, a truncated document and a bare '}' on one
+    // connection, then a half-close.
+    const std::string garbage = std::string("\0\xff", 2) +
+        line.substr(0, line.size() / 2) + "}";
+    const std::string reply = ask(sock, garbage);
+
+    // Exactly one line, and it is a well-formed oma-error-v1 answer.
+    ASSERT_FALSE(reply.empty());
+    EXPECT_EQ(reply.find('\n'), reply.size() - 1) << reply;
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(reply.substr(0, reply.size() - 1), doc, error))
+        << error;
+    ASSERT_NE(doc.find("schema"), nullptr);
+    EXPECT_EQ(doc.find("schema")->string, "oma-error-v1");
+
+    // The daemon serves on, byte for byte as a clean run.
+    EXPECT_EQ(ask(sock, line + "\n"), once);
+
+    // A malformed request is answered, not a client failure.
+    EXPECT_EQ(stopDaemon(pid, dir, sock), 0.0);
     fs::remove_all(dir);
 }
 

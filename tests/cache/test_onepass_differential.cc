@@ -327,8 +327,9 @@ TEST(OnePassReplay, SweepMatchesPerConfigColdAndWarmAtOneAndFourThreads)
         recordWorkload(BenchmarkId::Mpeg, OsKind::Mach, 20000);
 
     obs::Observation cold_obs;
-    const SweepResult cold = sweep.run(
-        BenchmarkId::Mpeg, OsKind::Mach, storeRun(dir, 1), &cold_obs);
+    const SweepResult cold = sweep.run(benchmarkParams(BenchmarkId::Mpeg),
+                                       OsKind::Mach, storeRun(dir, 1),
+                                       &cold_obs);
     expectSweepMatchesPerConfig(sweep, cold, trace);
     // Six line sizes x two kinds: twelve passes cover 240 slots; the
     // TLBs keep per-config replay.
@@ -340,8 +341,9 @@ TEST(OnePassReplay, SweepMatchesPerConfigColdAndWarmAtOneAndFourThreads)
     EXPECT_GT(cold_obs.metrics.counter("replay/batched_refs"), 0u);
 
     obs::Observation warm_obs;
-    const SweepResult warm = sweep.run(
-        BenchmarkId::Mpeg, OsKind::Mach, storeRun(dir, 4), &warm_obs);
+    const SweepResult warm = sweep.run(benchmarkParams(BenchmarkId::Mpeg),
+                                       OsKind::Mach, storeRun(dir, 4),
+                                       &warm_obs);
     expectSweepMatchesPerConfig(sweep, warm, trace);
     EXPECT_EQ(warm_obs.metrics.counter("store/misses"), 0u);
     EXPECT_EQ(warm_obs.metrics.counter("store/writes"), 0u);
@@ -373,14 +375,14 @@ TEST(OnePassReplay, PartialStoreRunsOnePassForTheMissingShardsOnly)
                                           geoms.begin() + 10);
     const std::string dir = freshStoreDir("partial");
     const RunConfig rc = storeRun(dir, 1);
-    (void)ComponentSweep(half, half, {}).run(BenchmarkId::Mab,
+    (void)ComponentSweep(half, half, {}).run(benchmarkParams(BenchmarkId::Mab),
                                               OsKind::Ultrix, rc);
 
     // Same slot indices for the first ten geometries, so their shard
     // keys hit; the other ten miss in each kind.
     const ComponentSweep sweep(geoms, geoms, {});
     obs::Observation observation;
-    const SweepResult result = sweep.run(BenchmarkId::Mab,
+    const SweepResult result = sweep.run(benchmarkParams(BenchmarkId::Mab),
                                          OsKind::Ultrix, rc, &observation);
     expectSweepMatchesPerConfig(
         sweep, result,
@@ -446,7 +448,8 @@ TEST(OnePassReplay, StoreWrittenByPerConfigReplayIsServedWarmUnchanged)
     }
 
     obs::Observation observation;
-    const SweepResult result = sweep.run(id, os, rc, &observation);
+    const SweepResult result = sweep.run(benchmarkParams(id), os, rc,
+                                         &observation);
     expectSweepMatchesPerConfig(sweep, result, trace);
     const obs::MetricRegistry &m = observation.metrics;
     EXPECT_EQ(m.counter("store/trace_hits"), 1u);

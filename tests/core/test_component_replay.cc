@@ -304,11 +304,11 @@ TEST(ComponentReplay, WarmStoreReproducesColdForEveryKind)
     std::filesystem::remove_all(rc.storeDir);
 
     const SweepResult cold =
-        sweep.run(BenchmarkId::Mpeg, OsKind::Mach, rc);
+        sweep.run(benchmarkParams(BenchmarkId::Mpeg), OsKind::Mach, rc);
     rc.threads = 4;
     obs::Observation warm_obs;
-    const SweepResult warm =
-        sweep.run(BenchmarkId::Mpeg, OsKind::Mach, rc, &warm_obs);
+    const SweepResult warm = sweep.run(benchmarkParams(BenchmarkId::Mpeg),
+                                       OsKind::Mach, rc, &warm_obs);
     expectSameHeterogeneousResults(cold, warm);
     EXPECT_EQ(warm_obs.metrics.counter("store/misses"), 0u);
     EXPECT_EQ(warm_obs.metrics.counter("sweep/records"), 0u);
@@ -599,11 +599,11 @@ TEST(BatchedReplay, WarmStoreReplayMatchesScalarExpectation)
     const RecordedTrace trace = system.record(rc.references);
 
     const SweepResult cold =
-        sweep.run(BenchmarkId::Mpeg, OsKind::Ultrix, rc);
+        sweep.run(benchmarkParams(BenchmarkId::Mpeg), OsKind::Ultrix, rc);
     rc.threads = 4;
     obs::Observation warm_obs;
-    const SweepResult warm =
-        sweep.run(BenchmarkId::Mpeg, OsKind::Ultrix, rc, &warm_obs);
+    const SweepResult warm = sweep.run(benchmarkParams(BenchmarkId::Mpeg),
+                                       OsKind::Ultrix, rc, &warm_obs);
     expectSameSweepResult(cold, warm);
     EXPECT_EQ(warm_obs.metrics.counter("store/misses"), 0u);
     EXPECT_EQ(warm_obs.metrics.counter("sweep/records"), 0u);

@@ -1,7 +1,7 @@
 /**
  * @file
  * The observability determinism contract: attaching an
- * obs::Observation to ComponentSweep::run / AllocationSearch::rank
+ * obs::Observation to ComponentSweep::run / ExhaustiveStrategy::search
  * must never change the results — bitwise, at 1 and 4 threads — and
  * the collected counters must be a pure function of the work (equal
  * across thread counts, equal to the SweepResult they describe).
@@ -9,15 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <sstream>
 #include <string>
 
 #include "core/search.hh"
+#include "core/search_strategy.hh"
 #include "core/sweep.hh"
 #include "obs/export.hh"
 #include "obs/report.hh"
-#include "tests/obs/jsonlite.hh"
+#include "support/json.hh"
 
 namespace oma
 {
@@ -127,11 +130,11 @@ TEST(ObservedSweep, ObservationNeverChangesTheResultAt1And4Threads)
     const ComponentSweep sweep = sweepUnderTest();
     for (unsigned threads : {1u, 4u}) {
         SCOPED_TRACE(threads);
-        const SweepResult plain = sweep.run(
-            BenchmarkId::Mab, OsKind::Mach, runConfig(threads));
+        const SweepResult plain = sweep.run(benchmarkParams(BenchmarkId::Mab),
+                                            OsKind::Mach, runConfig(threads));
         obs::Observation observation;
         const SweepResult observed =
-            sweep.run(BenchmarkId::Mab, OsKind::Mach,
+            sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
                       runConfig(threads), &observation);
         expectSameSweepResult(plain, observed);
         EXPECT_FALSE(observation.metrics.empty());
@@ -146,10 +149,10 @@ TEST(ObservedSweep, CountersAreThreadCountInvariant)
     // timing respectively, and are excluded by contract.
     const ComponentSweep sweep = sweepUnderTest();
     obs::Observation serial, parallel;
-    (void)sweep.run(BenchmarkId::Mab, OsKind::Mach, runConfig(1),
-                    &serial);
-    (void)sweep.run(BenchmarkId::Mab, OsKind::Mach, runConfig(4),
-                    &parallel);
+    (void)sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
+                    runConfig(1), &serial);
+    (void)sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
+                    runConfig(4), &parallel);
     for (const auto &[name, value] : serial.metrics.counters()) {
         if (name.rfind("threadpool/", 0) == 0)
             continue;
@@ -163,8 +166,8 @@ TEST(ObservedSweep, CountersMatchTheSweepResultTheyDescribe)
 {
     const ComponentSweep sweep = sweepUnderTest();
     obs::Observation observation;
-    const SweepResult r = sweep.run(BenchmarkId::Mab, OsKind::Mach,
-                                    runConfig(2), &observation);
+    const SweepResult r = sweep.run(benchmarkParams(BenchmarkId::Mab),
+                                    OsKind::Mach, runConfig(2), &observation);
     const obs::MetricRegistry &m = observation.metrics;
     EXPECT_EQ(m.counter("icache/misses"),
               sumCacheMisses(r, r.icacheCount(),
@@ -192,21 +195,23 @@ TEST(ObservedSweep, CountersMatchTheSweepResultTheyDescribe)
 TEST(ObservedSweep, ProgressTicksOncePerTask)
 {
     const ComponentSweep sweep = sweepUnderTest();
-    std::uint64_t last_total = 0;
+    // Worker lanes tick the progress concurrently, so the callback's
+    // sink must be safe to write from any of them.
+    std::atomic<std::uint64_t> last_total = 0;
     obs::Progress progress(
         1 + 2 * cacheSubset().size() + tlbSubset().size(),
         [&last_total](std::uint64_t, std::uint64_t total) {
-            last_total = total;
+            last_total.store(total);
         },
         2);
     obs::Observation observation;
     observation.progress = &progress;
-    (void)sweep.run(BenchmarkId::Mab, OsKind::Mach, runConfig(4),
-                    &observation);
+    (void)sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
+                    runConfig(4), &observation);
     // One tick per task: reference machine + every cache + every TLB.
     EXPECT_EQ(progress.done(),
               1 + 2 * cacheSubset().size() + tlbSubset().size());
-    EXPECT_EQ(last_total, progress.done());
+    EXPECT_EQ(last_total.load(), progress.done());
 }
 
 TEST(ObservedSweep, ReportFromAnObservedRunIsSchemaValid)
@@ -215,8 +220,8 @@ TEST(ObservedSweep, ReportFromAnObservedRunIsSchemaValid)
     // per-component counters and phase timings, as a bench emits it.
     const ComponentSweep sweep = sweepUnderTest();
     obs::Observation observation;
-    const SweepResult r = sweep.run(BenchmarkId::Mab, OsKind::Mach,
-                                    runConfig(2), &observation);
+    const SweepResult r = sweep.run(benchmarkParams(BenchmarkId::Mab),
+                                    OsKind::Mach, runConfig(2), &observation);
     obs::RunReport report("observed_sweep_unit");
     report.meta["benchmark"] = "mab";
     report.metrics = observation.metrics;
@@ -224,31 +229,44 @@ TEST(ObservedSweep, ReportFromAnObservedRunIsSchemaValid)
 
     std::ostringstream os;
     report.writeJson(os);
-    omatest::JsonLite doc;
-    ASSERT_TRUE(doc.parse(os.str()));
-    EXPECT_EQ(doc.str("schema"), "oma-run-report-v1");
-    EXPECT_GT(doc.num("counters.icache/misses"), 0.0);
-    EXPECT_GT(doc.num("counters.dcache/misses"), 0.0);
-    EXPECT_GT(doc.num("counters.tlb/misses"), 0.0);
-    EXPECT_TRUE(doc.has("gauges.time_ms/sweep/replay"));
-    EXPECT_TRUE(doc.has("gauges.time_ms/sweep/record"));
-    EXPECT_TRUE(
-        doc.has("histograms.icache/misses_per_config.buckets"));
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(os.str(), doc, error)) << error;
+    ASSERT_NE(doc.find("schema"), nullptr);
+    EXPECT_EQ(doc.find("schema")->string, "oma-run-report-v1");
+    const JsonValue *counters = doc.find("counters");
+    ASSERT_NE(counters, nullptr);
+    for (const char *name :
+         {"icache/misses", "dcache/misses", "tlb/misses"}) {
+        std::uint64_t misses = 0;
+        EXPECT_TRUE(counters->find(name) != nullptr &&
+                    counters->find(name)->asU64(misses) && misses > 0)
+            << name;
+    }
+    const JsonValue *gauges = doc.find("gauges");
+    ASSERT_NE(gauges, nullptr);
+    EXPECT_NE(gauges->find("time_ms/sweep/replay"), nullptr);
+    EXPECT_NE(gauges->find("time_ms/sweep/record"), nullptr);
+    const JsonValue *histograms = doc.find("histograms");
+    ASSERT_NE(histograms, nullptr);
+    const JsonValue *per_config = histograms->find("icache/misses_per_config");
+    EXPECT_TRUE(per_config != nullptr && per_config->find("buckets"));
 }
 
 TEST(ObservedSearch, ObservationNeverChangesTheRanking)
 {
     const ComponentSweep sweep = sweepUnderTest();
     std::vector<SweepResult> runs;
-    runs.push_back(
-        sweep.run(BenchmarkId::Mab, OsKind::Mach, runConfig(2)));
+    runs.push_back(sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
+                             runConfig(2)));
     const ComponentCpiTables tables = ComponentCpiTables::average(
         runs, MachineParams::decstation3100());
-    const AllocationSearch search(AreaModel(), 250000.0);
+    const SearchSpace space(tables, AreaModel(), 250000.0);
 
-    const auto plain = search.rank(tables, 8, 4);
+    const auto plain = ExhaustiveStrategy().search(space, 4).allocations;
     obs::Observation observation;
-    const auto observed = search.rank(tables, 8, 4, &observation);
+    const auto observed =
+        ExhaustiveStrategy().search(space, 4, &observation).allocations;
 
     ASSERT_EQ(plain.size(), observed.size());
     for (std::size_t i = 0; i < plain.size(); ++i) {
@@ -259,7 +277,7 @@ TEST(ObservedSearch, ObservationNeverChangesTheRanking)
     }
     EXPECT_EQ(observation.metrics.counter("search/ranked"),
               plain.size());
-    EXPECT_EQ(observation.metrics.counter("calls/search/rank"), 1u);
+    EXPECT_EQ(observation.metrics.counter("calls/search/exhaustive"), 1u);
     if (!plain.empty()) {
         EXPECT_TRUE(
             sameBits(observation.metrics.gauge("search/best_cpi"),

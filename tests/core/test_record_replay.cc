@@ -122,7 +122,8 @@ TEST_P(RecordReplay, LiveMemoryAndFileSweepsAgree)
     rc.references = refs;
     rc.seed = seed;
     rc.threads = 1;
-    const SweepResult live = sweep.run(BenchmarkId::Mpeg, os, rc);
+    const SweepResult live = sweep.run(benchmarkParams(BenchmarkId::Mpeg), os,
+                                       rc);
 
     // Path 2: an explicit recording of the identical stream.
     System system(benchmarkParams(BenchmarkId::Mpeg), os, seed);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/search.hh"
+#include "core/search_strategy.hh"
 
 namespace oma
 {
@@ -74,8 +75,9 @@ TEST(ConfigSpace, AssocRestrictionFilters)
 TEST(AllocationSearch, EverythingWithinBudget)
 {
     AreaModel area;
-    AllocationSearch search(area, 250000.0);
-    const auto ranked = search.rank(syntheticTables());
+    const ComponentCpiTables tables = syntheticTables();
+    const SearchSpace space(tables, area, 250000.0);
+    const auto ranked = ExhaustiveStrategy().search(space).allocations;
     ASSERT_FALSE(ranked.empty());
     for (const auto &a : ranked) {
         EXPECT_LE(a.areaRbe, 250000.0);
@@ -88,8 +90,9 @@ TEST(AllocationSearch, EverythingWithinBudget)
 
 TEST(AllocationSearch, SortedByCpiAndRanked)
 {
-    AllocationSearch search(AreaModel(), 250000.0);
-    const auto ranked = search.rank(syntheticTables());
+    const ComponentCpiTables tables = syntheticTables();
+    const SearchSpace space(tables, AreaModel(), 250000.0);
+    const auto ranked = ExhaustiveStrategy().search(space).allocations;
     for (std::size_t i = 1; i < ranked.size(); ++i) {
         EXPECT_LE(ranked[i - 1].cpi, ranked[i].cpi);
         EXPECT_EQ(ranked[i].rank, i + 1);
@@ -99,8 +102,8 @@ TEST(AllocationSearch, SortedByCpiAndRanked)
 TEST(AllocationSearch, CpiIsSumOfComponents)
 {
     const ComponentCpiTables tables = syntheticTables();
-    AllocationSearch search(AreaModel(), 250000.0);
-    const auto ranked = search.rank(tables);
+    const SearchSpace space(tables, AreaModel(), 250000.0);
+    const auto ranked = ExhaustiveStrategy().search(space).allocations;
     for (std::size_t i = 0; i < std::min<std::size_t>(50,
                                                       ranked.size());
          ++i) {
@@ -118,8 +121,9 @@ TEST(AllocationSearch, PrefersBigCheapTlbWhenBenefitIsMonotone)
     // MQF costs (big set-associative TLBs are cheap), the best
     // allocation must use a 512-entry TLB — the paper's Table 6
     // conclusion.
-    AllocationSearch search(AreaModel(), 250000.0);
-    const auto ranked = search.rank(syntheticTables());
+    const ComponentCpiTables tables = syntheticTables();
+    const SearchSpace space(tables, AreaModel(), 250000.0);
+    const auto ranked = ExhaustiveStrategy().search(space).allocations;
     ASSERT_FALSE(ranked.empty());
     EXPECT_EQ(ranked.front().tlb.entries, 512u);
 }
@@ -128,9 +132,11 @@ TEST(AllocationSearch, AssocRestrictionRaisesBestCpi)
 {
     // Table 7: restricting cache associativity to 2 ways cannot give
     // a better optimum than the unrestricted search.
-    AllocationSearch search(AreaModel(), 250000.0);
-    const auto unrestricted = search.rank(syntheticTables(), 8);
-    const auto restricted = search.rank(syntheticTables(), 2);
+    const ComponentCpiTables tables = syntheticTables();
+    const SearchSpace any_ways(tables, AreaModel(), 250000.0, 8);
+    const SearchSpace two_ways(tables, AreaModel(), 250000.0, 2);
+    const auto unrestricted = ExhaustiveStrategy().search(any_ways).allocations;
+    const auto restricted = ExhaustiveStrategy().search(two_ways).allocations;
     ASSERT_FALSE(unrestricted.empty());
     ASSERT_FALSE(restricted.empty());
     EXPECT_LE(unrestricted.front().cpi, restricted.front().cpi);
@@ -142,10 +148,11 @@ TEST(AllocationSearch, AssocRestrictionRaisesBestCpi)
 
 TEST(AllocationSearch, TightBudgetShrinksTheList)
 {
-    AllocationSearch wide(AreaModel(), 250000.0);
-    AllocationSearch tight(AreaModel(), 60000.0);
-    const auto big = wide.rank(syntheticTables());
-    const auto small = tight.rank(syntheticTables());
+    const ComponentCpiTables tables = syntheticTables();
+    const SearchSpace wide(tables, AreaModel(), 250000.0);
+    const SearchSpace tight(tables, AreaModel(), 60000.0);
+    const auto big = ExhaustiveStrategy().search(wide).allocations;
+    const auto small = ExhaustiveStrategy().search(tight).allocations;
     EXPECT_GT(big.size(), small.size());
     EXPECT_FALSE(small.empty());
     // A tight budget forces a worse best CPI.
@@ -154,7 +161,7 @@ TEST(AllocationSearch, TightBudgetShrinksTheList)
 
 TEST(AllocationSearchDeath, RejectsNonPositiveBudget)
 {
-    EXPECT_EXIT(AllocationSearch(AreaModel(), 0.0),
+    EXPECT_EXIT(SearchSpace(syntheticTables(), AreaModel(), 0.0),
                 testing::ExitedWithCode(1), "positive");
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the search strategies over the five-component space:
- * the exhaustive strategy reproduces AllocationSearch::rank bitwise
- * (pruning on or off, any thread count), a bounded keep returns
+ * the exhaustive strategy ranks bitwise identically with pruning on
+ * or off and at any thread count, a bounded keep returns
  * exactly the full ranking's prefix, ties included, cost-bound
  * pruning never discards an in-budget candidate, and the annealing
  * strategy recovers the exhaustive winner deterministically per seed
@@ -146,25 +146,27 @@ TEST(SearchSpace, MaterializeMatchesExhaustiveEmission)
 TEST(ExhaustiveStrategy, MatchesAllocationSearchRankBitwise)
 {
     const ComponentCpiTables tables = syntheticTables();
-    const AllocationSearch search(AreaModel(), kBudget);
-    const auto legacy = search.rank(tables);
     const SearchSpace space(tables, AreaModel(), kBudget);
+    const auto serial = ExhaustiveStrategy(false).search(space, 1);
     expectSameAllocations(
-        legacy, ExhaustiveStrategy(true).search(space).allocations);
+        serial.allocations,
+        ExhaustiveStrategy(true).search(space).allocations);
     expectSameAllocations(
-        legacy, ExhaustiveStrategy(false).search(space).allocations);
+        serial.allocations,
+        ExhaustiveStrategy(false).search(space, 4).allocations);
 }
 
 TEST(ExhaustiveStrategy, ExtendedSpaceMatchesRankBitwise)
 {
     const ComponentCpiTables tables = syntheticExtendedTables();
-    const AllocationSearch search(AreaModel(), kBudget);
-    const auto legacy = search.rank(tables);
     const SearchSpace space(tables, AreaModel(), kBudget);
+    const auto serial = ExhaustiveStrategy(false).search(space, 1);
     expectSameAllocations(
-        legacy, ExhaustiveStrategy(true).search(space).allocations);
+        serial.allocations,
+        ExhaustiveStrategy(true).search(space).allocations);
     expectSameAllocations(
-        legacy, ExhaustiveStrategy(false).search(space).allocations);
+        serial.allocations,
+        ExhaustiveStrategy(false).search(space, 4).allocations);
 }
 
 TEST(ExhaustiveStrategy, ThreadCountInvariant)
@@ -491,9 +493,9 @@ TEST(SearchSpaceDeath, RejectsUnifiedHierarchyWithL2)
 
 TEST(SearchSpaceDeath, RankRejectsContradictoryTablesToo)
 {
-    // The legacy entry point funnels through SearchSpace, so the
-    // same validation guards AllocationSearch::rank (before this
-    // guard the L2 of a unified+L2 option was priced at zero area).
+    // Every ranking funnels through SearchSpace, so the same
+    // validation guards a strategy's search (before this guard the
+    // L2 of a unified+L2 option was priced at zero area).
     ComponentCpiTables tables = syntheticTables();
     HierarchyParams p;
     p.l1i.geom = CacheGeometry::fromWords(8 * 1024, 4, 2);
@@ -501,8 +503,8 @@ TEST(SearchSpaceDeath, RankRejectsContradictoryTablesToo)
     p.hasL2 = true;
     p.l2.geom = CacheGeometry::fromWords(64 * 1024, 8, 4);
     tables.hierarchyOptions.push_back({p, 0.5});
-    const AllocationSearch search(AreaModel(), kBudget);
-    EXPECT_EXIT((void)search.rank(tables),
+    EXPECT_EXIT((void)ExhaustiveStrategy().search(
+                    SearchSpace(tables, AreaModel(), kBudget)),
                 testing::ExitedWithCode(1), "unified");
 }
 

@@ -211,12 +211,12 @@ TEST(StoreSweep, ColdAndWarmRunsMatchTheLiveResultBitwise)
     for (unsigned threads : {1u, 4u}) {
         SCOPED_TRACE(threads);
         const std::string dir = freshStoreDir("coldwarm");
-        const SweepResult live = sweep.run(
-            BenchmarkId::Mab, OsKind::Mach, storeRun("", threads));
+        const SweepResult live = sweep.run(benchmarkParams(BenchmarkId::Mab),
+                                           OsKind::Mach, storeRun("", threads));
 
         obs::Observation cold_obs;
         const SweepResult cold =
-            sweep.run(BenchmarkId::Mab, OsKind::Mach,
+            sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
                       storeRun(dir, threads), &cold_obs);
         expectSameSweepResult(live, cold);
         EXPECT_EQ(cold_obs.metrics.counter("sweep/records"), 1u);
@@ -229,7 +229,7 @@ TEST(StoreSweep, ColdAndWarmRunsMatchTheLiveResultBitwise)
 
         obs::Observation warm_obs;
         const SweepResult warm =
-            sweep.run(BenchmarkId::Mab, OsKind::Mach,
+            sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
                       storeRun(dir, threads), &warm_obs);
         expectSameSweepResult(live, warm);
         // The warm run does zero record-phase work, never fetches
@@ -261,12 +261,12 @@ TEST(StoreSweep, WarmReuseIsThreadCountInvariant)
     // 1 thread serves a 4-thread run (and vice versa) bitwise.
     const ComponentSweep sweep = sweepUnderTest();
     const std::string dir = freshStoreDir("crossthreads");
-    const SweepResult cold = sweep.run(BenchmarkId::Mpeg,
+    const SweepResult cold = sweep.run(benchmarkParams(BenchmarkId::Mpeg),
                                        OsKind::Ultrix, storeRun(dir, 1));
     obs::Observation warm_obs;
-    const SweepResult warm =
-        sweep.run(BenchmarkId::Mpeg, OsKind::Ultrix, storeRun(dir, 4),
-                  &warm_obs);
+    const SweepResult warm = sweep.run(benchmarkParams(BenchmarkId::Mpeg),
+                                       OsKind::Ultrix, storeRun(dir, 4),
+                                       &warm_obs);
     expectSameSweepResult(cold, warm);
     // One hit per shard; the trace is not read.
     EXPECT_EQ(warm_obs.metrics.counter("store/hits"), taskCount());
@@ -279,10 +279,11 @@ TEST(StoreSweep, DifferentConfigurationsNeverShareEntries)
     const ComponentSweep sweep = sweepUnderTest();
     const std::string dir = freshStoreDir("keyed");
     RunConfig rc = storeRun(dir, 2);
-    (void)sweep.run(BenchmarkId::Mab, OsKind::Mach, rc);
+    (void)sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach, rc);
     rc.seed = 43;
     obs::Observation observation;
-    (void)sweep.run(BenchmarkId::Mab, OsKind::Mach, rc, &observation);
+    (void)sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach, rc,
+                    &observation);
     EXPECT_EQ(observation.metrics.counter("store/hits"), 0u);
     EXPECT_EQ(observation.metrics.counter("sweep/records"), 1u);
     fs::remove_all(dir);
@@ -292,9 +293,10 @@ TEST(StoreSweep, CorruptEntriesFallBackToLiveSimulation)
 {
     const ComponentSweep sweep = sweepUnderTest();
     const std::string dir = freshStoreDir("corrupt");
-    const SweepResult live = sweep.run(BenchmarkId::Mab, OsKind::Mach,
-                                       storeRun("", 2));
-    (void)sweep.run(BenchmarkId::Mab, OsKind::Mach, storeRun(dir, 2));
+    const SweepResult live = sweep.run(benchmarkParams(BenchmarkId::Mab),
+                                       OsKind::Mach, storeRun("", 2));
+    (void)sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
+                    storeRun(dir, 2));
 
     // Flip the last byte (payload tail) of every entry: checksums
     // fail, every load quarantines, and the sweep re-simulates.
@@ -304,9 +306,9 @@ TEST(StoreSweep, CorruptEntriesFallBackToLiveSimulation)
         corruptEntry(path);
 
     obs::Observation observation;
-    const SweepResult recovered =
-        sweep.run(BenchmarkId::Mab, OsKind::Mach, storeRun(dir, 2),
-                  &observation);
+    const SweepResult recovered = sweep.run(benchmarkParams(BenchmarkId::Mab),
+                                            OsKind::Mach, storeRun(dir, 2),
+                                            &observation);
     expectSameSweepResult(live, recovered);
     EXPECT_EQ(observation.metrics.counter("store/quarantined"),
               1 + taskCount());
@@ -315,8 +317,9 @@ TEST(StoreSweep, CorruptEntriesFallBackToLiveSimulation)
 
     // The fallback rewrote every entry, so the next run is warm.
     obs::Observation warm_obs;
-    const SweepResult warm = sweep.run(
-        BenchmarkId::Mab, OsKind::Mach, storeRun(dir, 2), &warm_obs);
+    const SweepResult warm = sweep.run(benchmarkParams(BenchmarkId::Mab),
+                                       OsKind::Mach, storeRun(dir, 2),
+                                       &warm_obs);
     expectSameSweepResult(live, warm);
     EXPECT_EQ(warm_obs.metrics.counter("store/misses"), 0u);
     EXPECT_EQ(warm_obs.metrics.counter("store/hits"), taskCount());
@@ -327,8 +330,8 @@ TEST(StoreSweep, KilledSweepResumesFromPersistedShards)
 {
     const ComponentSweep sweep = sweepUnderTest();
     const std::string dir = freshStoreDir("resume");
-    const SweepResult live = sweep.run(BenchmarkId::Mab, OsKind::Mach,
-                                       storeRun("", 1));
+    const SweepResult live = sweep.run(benchmarkParams(BenchmarkId::Mab),
+                                       OsKind::Mach, storeRun("", 1));
 
     // Child process: serial store-backed sweep, killed hard after
     // its third completed replay task (each shard is persisted
@@ -346,7 +349,7 @@ TEST(StoreSweep, KilledSweepResumesFromPersistedShards)
                 taskCount());
             obs::Observation observation;
             observation.progress = &progress;
-            (void)sweep.run(BenchmarkId::Mab, OsKind::Mach,
+            (void)sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
                             storeRun(dir, 1), &observation);
         },
         testing::ExitedWithCode(42), "");
@@ -358,9 +361,9 @@ TEST(StoreSweep, KilledSweepResumesFromPersistedShards)
     EXPECT_LT(partial, 1 + taskCount());
 
     obs::Observation resumed_obs;
-    const SweepResult resumed =
-        sweep.run(BenchmarkId::Mab, OsKind::Mach, storeRun(dir, 1),
-                  &resumed_obs);
+    const SweepResult resumed = sweep.run(benchmarkParams(BenchmarkId::Mab),
+                                          OsKind::Mach, storeRun(dir, 1),
+                                          &resumed_obs);
     expectSameSweepResult(live, resumed);
     // The resume skips the record phase and every persisted shard...
     EXPECT_EQ(resumed_obs.metrics.counter("sweep/records"), 0u);
@@ -373,8 +376,9 @@ TEST(StoreSweep, KilledSweepResumesFromPersistedShards)
 
     // After the resume the store is complete, also for 4 threads.
     obs::Observation warm_obs;
-    const SweepResult warm = sweep.run(
-        BenchmarkId::Mab, OsKind::Mach, storeRun(dir, 4), &warm_obs);
+    const SweepResult warm = sweep.run(benchmarkParams(BenchmarkId::Mab),
+                                       OsKind::Mach, storeRun(dir, 4),
+                                       &warm_obs);
     expectSameSweepResult(live, warm);
     EXPECT_EQ(warm_obs.metrics.counter("store/misses"), 0u);
     fs::remove_all(dir);
@@ -383,12 +387,12 @@ TEST(StoreSweep, KilledSweepResumesFromPersistedShards)
 TEST(StoreSweep, DeletedSlotShardFetchesTheTraceOnceAndWritesOnlyIt)
 {
     const ComponentSweep sweep = sweepUnderTest();
-    const SweepResult live = sweep.run(BenchmarkId::Mab, OsKind::Mach,
-                                       storeRun("", 1));
+    const SweepResult live = sweep.run(benchmarkParams(BenchmarkId::Mab),
+                                       OsKind::Mach, storeRun("", 1));
     for (unsigned threads : {1u, 4u}) {
         SCOPED_TRACE(threads);
         const std::string dir = freshStoreDir("deleted_shard");
-        (void)sweep.run(BenchmarkId::Mab, OsKind::Mach,
+        (void)sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
                         storeRun(dir, threads));
         const fs::path shard = entryWithKey(
             dir, {"artifact=5:shard", "component=6:icache", "index=1"});
@@ -396,7 +400,7 @@ TEST(StoreSweep, DeletedSlotShardFetchesTheTraceOnceAndWritesOnlyIt)
 
         obs::Observation observation;
         const SweepResult result =
-            sweep.run(BenchmarkId::Mab, OsKind::Mach,
+            sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
                       storeRun(dir, threads), &observation);
         expectSameSweepResult(live, result);
         const obs::MetricRegistry &m = observation.metrics;
@@ -421,14 +425,14 @@ TEST(StoreSweep, UnreadableMachineShardFetchesTheTraceAndRewritesIt)
     // miss: the trace is fetched, the machine replayed and its shard
     // rewritten, and the next run skips the fetch again.
     const ComponentSweep sweep = sweepUnderTest();
-    const SweepResult live = sweep.run(BenchmarkId::Mab, OsKind::Mach,
-                                       storeRun("", 1));
+    const SweepResult live = sweep.run(benchmarkParams(BenchmarkId::Mab),
+                                       OsKind::Mach, storeRun("", 1));
     for (const std::string mode : {"deleted", "corrupt", "old-format"}) {
         for (unsigned threads : {1u, 4u}) {
             SCOPED_TRACE(mode + " machine shard, threads " +
                          std::to_string(threads));
             const std::string dir = freshStoreDir("machine");
-            (void)sweep.run(BenchmarkId::Mab, OsKind::Mach,
+            (void)sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
                             storeRun(dir, threads));
             const fs::path machine = machineEntry(dir);
             if (mode == "deleted") {
@@ -457,7 +461,7 @@ TEST(StoreSweep, UnreadableMachineShardFetchesTheTraceAndRewritesIt)
 
             obs::Observation observation;
             const SweepResult result =
-                sweep.run(BenchmarkId::Mab, OsKind::Mach,
+                sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
                           storeRun(dir, threads), &observation);
             expectSameSweepResult(live, result);
             const obs::MetricRegistry &m = observation.metrics;
@@ -473,7 +477,7 @@ TEST(StoreSweep, UnreadableMachineShardFetchesTheTraceAndRewritesIt)
 
             obs::Observation next_obs;
             const SweepResult next =
-                sweep.run(BenchmarkId::Mab, OsKind::Mach,
+                sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
                           storeRun(dir, threads), &next_obs);
             expectSameSweepResult(live, next);
             EXPECT_EQ(next_obs.metrics.counter("sweep/trace_fetch_skips"),
@@ -488,18 +492,18 @@ TEST(StoreSweep, UnreadableMachineShardFetchesTheTraceAndRewritesIt)
 TEST(StoreSweep, DeletedTraceWithEveryShardPresentDoesNotRecord)
 {
     const ComponentSweep sweep = sweepUnderTest();
-    const SweepResult live = sweep.run(BenchmarkId::Mab, OsKind::Mach,
-                                       storeRun("", 1));
+    const SweepResult live = sweep.run(benchmarkParams(BenchmarkId::Mab),
+                                       OsKind::Mach, storeRun("", 1));
     for (unsigned threads : {1u, 4u}) {
         SCOPED_TRACE(threads);
         const std::string dir = freshStoreDir("deleted_trace");
-        (void)sweep.run(BenchmarkId::Mab, OsKind::Mach,
+        (void)sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
                         storeRun(dir, threads));
         ASSERT_TRUE(fs::remove(traceEntry(dir)));
 
         obs::Observation observation;
         const SweepResult result =
-            sweep.run(BenchmarkId::Mab, OsKind::Mach,
+            sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
                       storeRun(dir, threads), &observation);
         expectSameSweepResult(live, result);
         const obs::MetricRegistry &m = observation.metrics;

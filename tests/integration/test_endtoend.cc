@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/search.hh"
+#include "core/search_strategy.hh"
 #include "trace/sampler.hh"
 #include "trace/tracefile.hh"
 #include "workload/system.hh"
@@ -37,15 +38,17 @@ TEST(EndToEnd, MeasuredSearchPicksLargeTlbUnderMach)
     std::vector<SweepResult> results;
     // mpeg_play and mab: the display and compile workloads whose
     // Mach profiles are I-cache heavy (Table 4).
-    results.push_back(sweep.run(BenchmarkId::Mpeg, OsKind::Mach, rc));
-    results.push_back(sweep.run(BenchmarkId::Mab, OsKind::Mach, rc));
+    results.push_back(sweep.run(benchmarkParams(BenchmarkId::Mpeg),
+                                OsKind::Mach, rc));
+    results.push_back(sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
+                                rc));
 
     const MachineParams mp = MachineParams::decstation3100();
     const ComponentCpiTables tables =
         ComponentCpiTables::average(results, mp);
 
-    AllocationSearch search(AreaModel(), 250000.0);
-    const auto ranked = search.rank(tables, 2);
+    const SearchSpace scored(tables, AreaModel(), 250000.0, 2);
+    const auto ranked = ExhaustiveStrategy().search(scored).allocations;
     ASSERT_GT(ranked.size(), 100u);
 
     const Allocation &best = ranked.front();
@@ -155,14 +158,14 @@ TEST(EndToEnd, LargerBudgetNeverHurtsTheOptimum)
     RunConfig rc;
     rc.references = 300000;
     const std::vector<SweepResult> results = {
-        sweep.run(BenchmarkId::Mab, OsKind::Mach, rc)};
+        sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach, rc)};
     const ComponentCpiTables tables = ComponentCpiTables::average(
         results, MachineParams::decstation3100());
 
     double prev_best = 1e9;
     for (double budget : {80000.0, 150000.0, 250000.0, 400000.0}) {
-        AllocationSearch search(AreaModel(), budget);
-        const auto ranked = search.rank(tables, 2);
+        const SearchSpace space(tables, AreaModel(), budget, 2);
+        const auto ranked = ExhaustiveStrategy().search(space).allocations;
         ASSERT_FALSE(ranked.empty()) << budget;
         EXPECT_LE(ranked.front().cpi, prev_best + 1e-12) << budget;
         prev_best = ranked.front().cpi;

@@ -12,11 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "lint/lint.hh"
-#include "tests/obs/jsonlite.hh"
+#include "support/json.hh"
 
 namespace oma::lint
 {
@@ -684,6 +687,20 @@ TEST(LintScanner, RuleRegistryIsComplete)
 // SARIF output
 // ---------------------------------------------------------------- //
 
+/** The value reached from @p v through the object members @p keys
+ * (a missing member throws, which fails the test). */
+const JsonValue &
+at(const JsonValue &v, std::initializer_list<std::string_view> keys)
+{
+    const JsonValue *cur = &v;
+    for (const std::string_view key : keys) {
+        cur = cur->find(key);
+        if (cur == nullptr)
+            throw std::out_of_range("no member " + std::string(key));
+    }
+    return *cur;
+}
+
 TEST(LintSarif, EmitsValidSarifWithFindings)
 {
     const auto report = lintBuffer("src/core/foo.cc", R"(
@@ -694,21 +711,96 @@ void f() {
     ASSERT_EQ(report.findings.size(), 1u);
     std::ostringstream os;
     printSarif(report, os);
-    omatest::JsonLite json;
-    ASSERT_TRUE(json.parse(os.str())) << os.str();
-    EXPECT_EQ(json.str("version"), "2.1.0");
-    EXPECT_EQ(json.str("runs.#.tool.driver.name"), "oma_lint");
-    EXPECT_EQ(json.str("runs.#.results.#.ruleId"), "no-wallclock");
-    EXPECT_EQ(json.str("runs.#.results.#.level"), "error");
-    EXPECT_EQ(json.str("runs.#.results.#.locations.#.physicalLocation"
-                       ".artifactLocation.uri"),
+    JsonValue json;
+    std::string error;
+    ASSERT_TRUE(parseJson(os.str(), json, error)) << error << os.str();
+    EXPECT_EQ(at(json, {"version"}).string, "2.1.0");
+    const JsonValue &run = at(json, {"runs"}).array.at(0);
+    EXPECT_EQ(at(run, {"tool", "driver", "name"}).string, "oma_lint");
+    const JsonValue &result = at(run, {"results"}).array.at(0);
+    EXPECT_EQ(at(result, {"ruleId"}).string, "no-wallclock");
+    EXPECT_EQ(at(result, {"level"}).string, "error");
+    const JsonValue &location =
+        at(at(result, {"locations"}).array.at(0), {"physicalLocation"});
+    EXPECT_EQ(at(location, {"artifactLocation", "uri"}).string,
               "src/core/foo.cc");
-    EXPECT_EQ(json.num("runs.#.results.#.locations.#.physicalLocation"
-                       ".region.startLine"),
-              3.0);
+    EXPECT_EQ(at(location, {"region", "startLine"}).number, "3");
     // The message carries the fixit hint.
-    EXPECT_NE(json.str("runs.#.results.#.message.text").find("fix: "),
+    EXPECT_NE(at(result, {"message", "text"}).string.find("fix: "),
               std::string::npos);
+}
+
+TEST(LintSarif, LayoutIsPinnedByteForByte)
+{
+    LintReport report;
+    report.findings.push_back({"src/core/a b.cc", 7, "no-wallclock",
+                               "call to \"time\" in C:\\path\tnow",
+                               "", false});
+    report.findings.push_back({"src/obs/x.cc", 0, "shared-state",
+                               "mutable static", "make it\nconst",
+                               false});
+    std::ostringstream os;
+    printSarif(report, os);
+
+    // The rules array lists every default rule; its rationales are
+    // plain text, so each appears verbatim between quotes.
+    std::string rules;
+    const auto defaults = makeDefaultRules();
+    for (std::size_t i = 0; i < defaults.size(); ++i) {
+        const std::string rationale(defaults[i]->rationale());
+        ASSERT_EQ(rationale.find_first_of("\"\\\n\t"),
+                  std::string::npos);
+        rules += "            {\n              \"id\": \"" +
+            std::string(defaults[i]->name()) +
+            "\",\n              \"shortDescription\": {\"text\": \"" +
+            rationale + "\"}\n            }" +
+            (i + 1 < defaults.size() ? "," : "") + "\n";
+    }
+    EXPECT_EQ(os.str(), R"({
+  "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
+  "version": "2.1.0",
+  "runs": [
+    {
+      "tool": {
+        "driver": {
+          "name": "oma_lint",
+          "informationUri": "docs/STATIC_ANALYSIS.md",
+          "rules": [
+)" + rules + R"(          ]
+        }
+      },
+      "results": [
+        {
+          "ruleId": "no-wallclock",
+          "level": "error",
+          "message": {"text": "call to \"time\" in C:\\path\tnow"},
+          "locations": [
+            {
+              "physicalLocation": {
+                "artifactLocation": {"uri": "src/core/a b.cc"},
+                "region": {"startLine": 7}
+              }
+            }
+          ]
+        },
+        {
+          "ruleId": "shared-state",
+          "level": "error",
+          "message": {"text": "mutable static; fix: make it\nconst"},
+          "locations": [
+            {
+              "physicalLocation": {
+                "artifactLocation": {"uri": "src/obs/x.cc"},
+                "region": {"startLine": 1}
+              }
+            }
+          ]
+        }
+      ]
+    }
+  ]
+}
+)");
 }
 
 TEST(LintSarif, DeclaresEveryRuleEvenWhenClean)
@@ -717,13 +809,18 @@ TEST(LintSarif, DeclaresEveryRuleEvenWhenClean)
     ASSERT_TRUE(report.clean());
     std::ostringstream os;
     printSarif(report, os);
-    omatest::JsonLite json;
-    ASSERT_TRUE(json.parse(os.str())) << os.str();
-    // Arrays share one ".#" path: the recorded id is the last rule
-    // emitted, proving the rules array was populated in order.
-    EXPECT_EQ(json.str("runs.#.tool.driver.rules.#.id"),
-              "shared-state");
-    EXPECT_FALSE(json.has("runs.#.results.#.ruleId"));
+    JsonValue json;
+    std::string error;
+    ASSERT_TRUE(parseJson(os.str(), json, error)) << error << os.str();
+    const JsonValue &run = at(json, {"runs"}).array.at(0);
+    // Every default rule is declared, in order.
+    const auto defaults = makeDefaultRules();
+    const JsonValue &rules = at(run, {"tool", "driver", "rules"});
+    ASSERT_EQ(rules.array.size(), defaults.size());
+    for (std::size_t i = 0; i < defaults.size(); ++i)
+        EXPECT_EQ(at(rules.array[i], {"id"}).string, defaults[i]->name());
+    EXPECT_EQ(at(rules.array.back(), {"id"}).string, "shared-state");
+    EXPECT_TRUE(at(run, {"results"}).array.empty());
 }
 
 // ---------------------------------------------------------------- //

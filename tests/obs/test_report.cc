@@ -7,22 +7,27 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
+#include <iterator>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "obs/report.hh"
-#include "tests/obs/jsonlite.hh"
+#include "support/json.hh"
 
 namespace oma::obs
 {
 namespace
 {
 
-using omatest::JsonLite;
 
 RunReport
 sampleReport()
@@ -47,6 +52,31 @@ toJson(const RunReport &report)
     return os.str();
 }
 
+/** @p text parsed by the strict codec; a failed parse fails the
+ * test and yields a Null value. */
+JsonValue
+parsed(const std::string &text)
+{
+    JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(parseJson(text, doc, error)) << error;
+    return doc;
+}
+
+/** The value reached from @p v through the object members @p keys
+ * (a missing member throws, which fails the test). */
+const JsonValue &
+at(const JsonValue &v, std::initializer_list<std::string_view> keys)
+{
+    const JsonValue *cur = &v;
+    for (const std::string_view key : keys) {
+        cur = cur->find(key);
+        if (cur == nullptr)
+            throw std::out_of_range("no member " + std::string(key));
+    }
+    return *cur;
+}
+
 TEST(RunReportDeath, RejectsUnsafeNames)
 {
     // The name becomes a file name verbatim; anything outside
@@ -66,48 +96,45 @@ TEST(RunReport, FileNameFollowsTheBenchConvention)
 
 TEST(RunReport, JsonIsWellFormedAndSchemaTagged)
 {
-    JsonLite doc;
-    ASSERT_TRUE(doc.parse(toJson(sampleReport())));
-    EXPECT_EQ(doc.str("schema"), "oma-run-report-v1");
-    EXPECT_EQ(doc.str("name"), "unit_sample");
+    const JsonValue doc = parsed(toJson(sampleReport()));
+    EXPECT_EQ(at(doc, {"schema"}).string, "oma-run-report-v1");
+    EXPECT_EQ(at(doc, {"name"}).string, "unit_sample");
     // All four sections are present even when some are empty.
-    EXPECT_TRUE(doc.has("meta"));
-    EXPECT_TRUE(doc.has("counters"));
-    EXPECT_TRUE(doc.has("gauges"));
-    EXPECT_TRUE(doc.has("histograms"));
+    EXPECT_NE(doc.find("meta"), nullptr);
+    EXPECT_NE(doc.find("counters"), nullptr);
+    EXPECT_NE(doc.find("gauges"), nullptr);
+    EXPECT_NE(doc.find("histograms"), nullptr);
 }
 
 TEST(RunReport, JsonCarriesEveryMetric)
 {
-    JsonLite doc;
-    ASSERT_TRUE(doc.parse(toJson(sampleReport())));
-    EXPECT_EQ(doc.str("meta.benchmark"), "mab");
-    EXPECT_EQ(doc.str("meta.os"), "mach3");
-    EXPECT_DOUBLE_EQ(doc.num("counters.icache/misses"), 42.0);
-    EXPECT_DOUBLE_EQ(doc.num("counters.dcache/misses"), 7.0);
-    EXPECT_DOUBLE_EQ(doc.num("gauges.rate/refs_per_sec"), 1.5e6);
-    EXPECT_DOUBLE_EQ(doc.num("gauges.time_ms/total"), 12.5);
-    EXPECT_DOUBLE_EQ(doc.num("histograms.tlb/refills.count"), 2.0);
-    EXPECT_DOUBLE_EQ(doc.num("histograms.tlb/refills.sum"), 303.0);
-    EXPECT_DOUBLE_EQ(doc.num("histograms.tlb/refills.min"), 3.0);
-    EXPECT_DOUBLE_EQ(doc.num("histograms.tlb/refills.max"), 300.0);
-    EXPECT_TRUE(doc.has("histograms.tlb/refills.buckets"));
+    const JsonValue doc = parsed(toJson(sampleReport()));
+    EXPECT_EQ(at(doc, {"meta", "benchmark"}).string, "mab");
+    EXPECT_EQ(at(doc, {"meta", "os"}).string, "mach3");
+    EXPECT_EQ(at(doc, {"counters", "icache/misses"}).number, "42");
+    EXPECT_EQ(at(doc, {"counters", "dcache/misses"}).number, "7");
+    EXPECT_EQ(at(doc, {"gauges", "rate/refs_per_sec"}).number, "1500000");
+    EXPECT_EQ(at(doc, {"gauges", "time_ms/total"}).number, "12.5");
+    const JsonValue &refills = at(doc, {"histograms", "tlb/refills"});
+    EXPECT_EQ(at(refills, {"count"}).number, "2");
+    EXPECT_EQ(at(refills, {"sum"}).number, "303");
+    EXPECT_EQ(at(refills, {"min"}).number, "3");
+    EXPECT_EQ(at(refills, {"max"}).number, "300");
+    EXPECT_NE(refills.find("buckets"), nullptr);
 }
 
 TEST(RunReport, EmptyReportIsStillValidJson)
 {
-    JsonLite doc;
-    ASSERT_TRUE(doc.parse(toJson(RunReport("empty"))));
-    EXPECT_EQ(doc.str("schema"), "oma-run-report-v1");
+    const JsonValue doc = parsed(toJson(RunReport("empty")));
+    EXPECT_EQ(at(doc, {"schema"}).string, "oma-run-report-v1");
 }
 
 TEST(RunReport, EscapesHostileMetaStrings)
 {
     RunReport report("escapes");
     report.meta["cmd"] = "a\"b\\c\nd\te";
-    JsonLite doc;
-    ASSERT_TRUE(doc.parse(toJson(report)));
-    EXPECT_EQ(doc.str("meta.cmd"), "a\"b\\c\nd\te");
+    const JsonValue doc = parsed(toJson(report));
+    EXPECT_EQ(at(doc, {"meta", "cmd"}).string, "a\"b\\c\nd\te");
 }
 
 TEST(RunReport, NonFiniteGaugesSerializeAsStrings)
@@ -120,11 +147,10 @@ TEST(RunReport, NonFiniteGaugesSerializeAsStrings)
                        -std::numeric_limits<double>::infinity());
     report.metrics.set("g/nan",
                        std::numeric_limits<double>::quiet_NaN());
-    JsonLite doc;
-    ASSERT_TRUE(doc.parse(toJson(report)));
-    EXPECT_EQ(doc.str("gauges.g/pos"), "inf");
-    EXPECT_EQ(doc.str("gauges.g/neg"), "-inf");
-    EXPECT_EQ(doc.str("gauges.g/nan"), "nan");
+    const JsonValue doc = parsed(toJson(report));
+    EXPECT_EQ(at(doc, {"gauges", "g/pos"}).string, "inf");
+    EXPECT_EQ(at(doc, {"gauges", "g/neg"}).string, "-inf");
+    EXPECT_EQ(at(doc, {"gauges", "g/nan"}).string, "nan");
 }
 
 TEST(RunReport, SerializationIsDeterministic)
@@ -133,6 +159,85 @@ TEST(RunReport, SerializationIsDeterministic)
     // textually identical.
     const RunReport report = sampleReport();
     EXPECT_EQ(toJson(report), toJson(report));
+}
+
+TEST(RunReport, JsonLayoutIsPinnedByteForByte)
+{
+    // Every value here prints the same under any exact number form
+    // (integers and dyadic fractions), so the bytes pin the layout
+    // and the string escapes, not a float formatting choice.
+    RunReport report("golden");
+    report.meta["cmd"] = "oma \"q\" a\\b\nc\td";
+    report.meta["os"] = "mach3";
+    report.metrics.add("icache/misses", 42);
+    report.metrics.add("big", std::numeric_limits<std::uint64_t>::max());
+    report.metrics.set("rate/refs_per_sec", 1.5e6);
+    report.metrics.set("frac", 0.375);
+    report.metrics.set("neg", -2.0);
+    report.metrics.observe("tlb/refills", 3);
+    report.metrics.observe("tlb/refills", 300);
+    EXPECT_EQ(toJson(report), R"({
+  "schema": "oma-run-report-v1",
+  "name": "golden",
+  "meta": {
+    "cmd": "oma \"q\" a\\b\nc\td",
+    "os": "mach3"
+  },
+  "counters": {
+    "big": 18446744073709551615,
+    "icache/misses": 42
+  },
+  "gauges": {
+    "frac": 0.375,
+    "neg": -2,
+    "rate/refs_per_sec": 1500000
+  },
+  "histograms": {
+    "tlb/refills": {
+      "count": 2,
+      "sum": 303,
+      "min": 3,
+      "max": 300,
+      "mean": 151.5,
+      "buckets": {"4": 1, "512": 1}
+    }
+  }
+}
+)");
+    EXPECT_EQ(toJson(RunReport("empty")), R"({
+  "schema": "oma-run-report-v1",
+  "name": "empty",
+  "meta": {},
+  "counters": {},
+  "gauges": {},
+  "histograms": {}
+}
+)");
+}
+
+TEST(RunReport, GaugesRoundTripBitExactly)
+{
+    const double values[] = {
+        0.1,
+        1e-300,
+        std::numeric_limits<double>::denorm_min(),
+        -0.0,
+        std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max(),
+        1.0 / 3.0,
+    };
+    RunReport report("roundtrip");
+    for (std::size_t i = 0; i < std::size(values); ++i)
+        report.metrics.set("g/" + std::to_string(i), values[i]);
+    const JsonValue doc = parsed(toJson(report));
+    for (std::size_t i = 0; i < std::size(values); ++i) {
+        const JsonValue &g = at(doc, {"gauges", "g/" + std::to_string(i)});
+        double back = 1.0;
+        ASSERT_TRUE(g.asReal(back)) << i << ": " << g.number;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(back),
+                  std::bit_cast<std::uint64_t>(values[i]))
+            << i << ": " << g.number;
+    }
 }
 
 TEST(RunReport, CsvListsEveryRow)
@@ -160,9 +265,7 @@ TEST(RunReport, SaveWritesIntoTheRequestedDirectory)
     ASSERT_TRUE(in.good());
     std::ostringstream read_back;
     read_back << in.rdbuf();
-    JsonLite doc;
-    EXPECT_TRUE(doc.parse(read_back.str()));
-    EXPECT_EQ(doc.str("name"), "unit_sample");
+    EXPECT_EQ(at(parsed(read_back.str()), {"name"}).string, "unit_sample");
     std::remove(path.c_str());
 }
 
