@@ -445,10 +445,10 @@ BENCHMARK(BM_ReplaySweep)
 /**
  * Warm artifact-store sweeps: one cold run primes a throwaway store
  * directory outside the timed region, then every timed iteration
- * loads every shard from the store — no record and no trace fetch. The warm run's observation counters are copied
- * into BENCH_speed.json under `store_warm/` so the claim is checkable
- * from the report: `store_warm/sweep/records` and
- * `store_warm/store/trace_hits` must be 0 while
+ * loads every shard from the store — no record. The warm run's
+ * observation counters are copied into BENCH_speed.json under
+ * `store_warm/` so the claim is checkable from the report:
+ * `store_warm/sweep/records` must be 0 while
  * `store_warm/sweep/trace_fetch_skips` counts one skip per
  * iteration.
  */
@@ -494,16 +494,13 @@ BM_SweepStoreWarm(benchmark::State &state)
     state.counters["threads"] = double(threads);
     state.counters["records"] =
         double(warm.metrics.counter("sweep/records"));
-    state.counters["trace_hits_per_iter"] =
-        double(warm.metrics.counter("store/trace_hits")) / iters;
     state.counters["trace_fetch_skips_per_iter"] =
         double(warm.metrics.counter("sweep/trace_fetch_skips")) / iters;
     if (g_report != nullptr) {
         for (const char *name :
              {"sweep/records", "sweep/record_skips",
-              "sweep/trace_fetch_skips", "store/trace_hits",
-              "store/hits", "store/misses", "store/writes",
-              "store/quarantined"}) {
+              "sweep/trace_fetch_skips", "store/hits", "store/misses",
+              "store/writes", "store/quarantined"}) {
             g_report->metrics().add(std::string("store_warm/") + name,
                                     warm.metrics.counter(name));
         }

@@ -44,8 +44,10 @@ constexpr std::uint64_t dcacheBankSalt = 2;
 /**
  * Fingerprint of everything upstream of the record phase: formats,
  * OS personality, seed, trace length and the complete workload
- * description. Every store key (the recording and each replay shard)
- * extends this base, so any change in provenance keys a fresh entry.
+ * description. Every shard key extends this base, so any change in
+ * provenance keys a fresh entry. The trace format version stays in
+ * the base although recordings are no longer stored: dropping it
+ * would re-key every shard and turn existing stores cold.
  * RunConfig::userOnly is deliberately absent — the sweep path never
  * consults it.
  */
@@ -61,14 +63,6 @@ sweepBaseKey(const WorkloadParams &workload, OsKind os,
     fp.u64("run.references", run.references);
     workload.fingerprint(fp);
     return fp;
-}
-
-Fingerprint
-traceKey(const Fingerprint &base)
-{
-    Fingerprint key = base;
-    key.str("artifact", "trace");
-    return key;
 }
 
 } // namespace
@@ -109,47 +103,26 @@ ComponentSweep::run(const WorkloadParams &workload, OsKind os,
         ArtifactStore::open(run.storeDir);
     const Fingerprint base = sweepBaseKey(workload, os, run);
 
-    // Fetch or record the stream, at most once and only when the
-    // replay phase asks for it (on the calling thread: the metric
-    // registry is not thread-safe). Recording is serial: the
-    // workload RNG and the OS model advance exactly as in a legacy
-    // single-pass run, and page-invalidation events land inline in
-    // the recording at the index of the reference the OS fired them
-    // while producing, which is where every replay applies them. A
-    // stored recording decodes byte-identical to a live record.
+    // Record the stream, at most once and only when the replay phase
+    // asks for it (on the calling thread: the metric registry is not
+    // thread-safe). Recording is serial: the workload RNG and the OS
+    // model advance exactly as in a legacy single-pass run, and
+    // page-invalidation events land inline in the recording at the
+    // index of the reference the OS fired them while producing, which
+    // is where every replay applies them. The recording itself is
+    // never stored: re-recording costs about what reading, checking
+    // and decoding a stored one would (docs/MODEL.md §10).
     RecordedTrace trace;
     bool fetched = false;
     const auto fetch = [&]() -> const RecordedTrace & {
         fetched = true;
-        bool have_trace = false;
-        if (store != nullptr) {
-            std::string payload;
-            if (store->get(traceKey(base), payload) &&
-                store::decodeTrace(payload, trace)) {
-                have_trace = true;
-                if (observation != nullptr) {
-                    observation->metrics.add("store/trace_hits");
-                    observation->metrics.add("sweep/record_skips");
-                }
-            }
-        }
-        if (!have_trace) {
-            System system(workload, os, run.seed);
-            if (observation != nullptr) {
-                obs::Span span(observation->metrics, "sweep/record");
-                trace = system.record(run.references);
-                observation->metrics.add("sweep/records");
-            } else {
-                trace = system.record(run.references);
-            }
-            if (store != nullptr) {
-                const std::string payload = store::encodeTrace(trace);
-                store->put(traceKey(base), payload);
-                if (observation != nullptr)
-                    obs::exportEncodedTrace(observation->metrics,
-                                            "trace", payload.size(),
-                                            trace.size());
-            }
+        System system(workload, os, run.seed);
+        if (observation != nullptr) {
+            obs::Span span(observation->metrics, "sweep/record");
+            trace = system.record(run.references);
+            observation->metrics.add("sweep/records");
+        } else {
+            trace = system.record(run.references);
         }
         return trace;
     };
@@ -188,7 +161,7 @@ ComponentSweep::replayTrace(const TraceFetch &fetch, unsigned threads,
     // live slot bit-for-bit). The machine shard also carries the
     // recording's reference and event counts and otherCpi, so when
     // every unit hits the trace is never touched; only if something
-    // missed is it fetched or recorded, once, on the calling thread.
+    // missed is it recorded, once, on the calling thread.
     // Phase B then replays the missing consumers alone: one flat
     // task space keeps every lane busy, each task owns its private
     // simulators and writes only its own slots' results, so the
@@ -442,7 +415,7 @@ ComponentSweep::replayTrace(const TraceFetch &fetch, unsigned threads,
             replayPerConfig(t.slots.front());
     };
 
-    // Between the phases, on the calling thread: fetch the trace if
+    // Between the phases, on the calling thread: record the trace if
     // anything missed.
     const auto bridge = [&] {
         planTasks();

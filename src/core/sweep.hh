@@ -343,11 +343,12 @@ struct SweepResult
  * be swept directly via the RecordedTrace overload.
  *
  * When RunConfig::storeDir (or OMA_STORE_DIR) enables the artifact
- * store, the recording and every completed replay shard persist as
- * they are produced: a warm rerun skips the record phase entirely, a
- * killed sweep resumes at its last completed shard, and a corrupt
- * entry is quarantined and transparently re-simulated. Cached runs
- * reproduce live runs bit-for-bit (tests/core/test_store_sweep.cc).
+ * store, every completed replay shard persists as it is produced; the
+ * recording itself is never stored. A warm rerun skips the record
+ * phase entirely, a killed sweep re-records once and resumes at its
+ * last completed shard, and a corrupt entry is quarantined and
+ * transparently re-simulated. Cached runs reproduce live runs
+ * bit-for-bit (tests/core/test_store_sweep.cc).
  */
 class ComponentSweep
 {

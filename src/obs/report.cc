@@ -116,10 +116,18 @@ RunReport::writeCsv(std::ostream &os) const
 {
     // CSV values never need quoting: names are [A-Za-z0-9_/-] paths
     // and values are numbers; meta strings are the one exception and
-    // are quoted unconditionally.
+    // are quoted unconditionally, with each embedded '"' doubled (RFC
+    // 4180: a comma or newline inside the quotes is then plain data).
     os << "kind,name,value\n";
-    for (const auto &[key, value] : meta)
-        os << "meta," << key << ",\"" << value << "\"\n";
+    for (const auto &[key, value] : meta) {
+        os << "meta," << key << ",\"";
+        for (const char c : value) {
+            if (c == '"')
+                os << '"';
+            os << c;
+        }
+        os << "\"\n";
+    }
     for (const auto &[key, value] : metrics.counters())
         os << "counter," << key << "," << value << "\n";
     for (const auto &[key, value] : metrics.gauges()) {

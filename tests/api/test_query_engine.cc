@@ -174,11 +174,11 @@ TEST(QueryEngine, SecondAnswerIsStoreWarmAndBitwiseIdentical)
     EXPECT_EQ(second, first);
     EXPECT_EQ(counter(warm, "serve/warm_hits"), 1u);
     EXPECT_EQ(counter(warm, "serve/computed"), 0u);
-    // Warm serving touches no simulator: no sweep records, replays
-    // or even store trace fetches happen on this path.
+    // Warm serving touches no simulator: no sweep runs on this path,
+    // so it neither records nor even counts a skipped record.
     EXPECT_EQ(counter(warm, "sweep/records"), 0u);
     EXPECT_EQ(counter(warm, "sweep/replays"), 0u);
-    EXPECT_EQ(counter(warm, "store/trace_hits"), 0u);
+    EXPECT_EQ(counter(warm, "sweep/record_skips"), 0u);
 
     // A different engine instance over the same store is also warm:
     // the answer lives in the store, not the process.

@@ -12,7 +12,9 @@
  * `serve/client_errors`. A client that sends garbage bytes gets one
  * parseable oma-error-v1 line. After every fault the next
  * well-formed query gets the byte-identical answer a clean run
- * gives.
+ * gives. A SIGTERM mid-batch lets the daemon answer the client in
+ * flight and the one queued behind it, then exit 0 with the socket
+ * unlinked and its run report saved.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +28,7 @@
 #include <string>
 #include <thread>
 
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
@@ -167,20 +170,21 @@ startDaemon(const std::string &dir, const std::string &sock)
     return pid;
 }
 
-/** Ask the daemon to shut down, require a clean exit, and return the
- * `serve/client_errors` counter of its run report (-1 when the
- * report is missing or unreadable). */
-double
-stopDaemon(pid_t pid, const std::string &dir, const std::string &sock)
+/** Require that the daemon @p pid exits 0 (not by a signal). */
+void
+expectCleanExit(pid_t pid)
 {
-    const std::string ack =
-        ask(sock, "{\"schema\":\"oma-control-v1\",\"cmd\":\"shutdown\"}\n");
-    EXPECT_NE(ack.find("oma-control-v1"), std::string::npos);
     int status = 0;
     EXPECT_EQ(::waitpid(pid, &status, 0), pid);
     EXPECT_TRUE(WIFEXITED(status)) << "daemon died of a signal";
     EXPECT_EQ(WEXITSTATUS(status), 0);
+}
 
+/** The `serve/client_errors` counter of the run report the daemon
+ * saved under @p dir (-1 when the report is missing or unreadable). */
+double
+reportedClientErrors(const std::string &dir)
+{
     std::ifstream report(dir + "/BENCH_oma_serve.json");
     if (!report.good())
         return -1.0;
@@ -194,6 +198,32 @@ stopDaemon(pid_t pid, const std::string &dir, const std::string &sock)
         ? counters->find("serve/client_errors") : nullptr;
     double count = -1.0;
     return errors != nullptr && errors->asReal(count) ? count : -1.0;
+}
+
+/** Ask the daemon to shut down, require a clean exit, and return the
+ * `serve/client_errors` counter of its run report. */
+double
+stopDaemon(pid_t pid, const std::string &dir, const std::string &sock)
+{
+    const std::string ack =
+        ask(sock, "{\"schema\":\"oma-control-v1\",\"cmd\":\"shutdown\"}\n");
+    EXPECT_NE(ack.find("oma-control-v1"), std::string::npos);
+    expectCleanExit(pid);
+    return reportedClientErrors(dir);
+}
+
+/** Half-close @p fd, read its reply to EOF and close it. */
+std::string
+finishExchange(int fd)
+{
+    ::shutdown(fd, SHUT_WR);
+    std::string reply;
+    char buf[4096];
+    ssize_t n = 0;
+    while ((n = ::read(fd, buf, sizeof buf)) > 0)
+        reply.append(buf, std::size_t(n));
+    ::close(fd);
+    return reply;
 }
 
 TEST(ServeSocket, EarlyHangUpDoesNotKillTheDaemon)
@@ -318,6 +348,41 @@ TEST(ServeSocket, GarbageBytesGetOneErrorLineAndTheDaemonServesOn)
 
     // A malformed request is answered, not a client failure.
     EXPECT_EQ(stopDaemon(pid, dir, sock), 0.0);
+    fs::remove_all(dir);
+}
+
+TEST(ServeSocket, SigtermMidBatchAnswersTheBatchThenExitsCleanly)
+{
+    const std::string dir = scratchDir("sigterm");
+    const std::string sock = dir + "/serve.sock";
+    const std::string line = queryLine();
+    const std::string once = onceAnswer(line);
+    const pid_t pid = startDaemon(dir, sock);
+    ASSERT_GT(pid, 0);
+    ASSERT_TRUE(fs::exists(sock));
+
+    // Client A's request is in flight (sent, not yet half-closed);
+    // client B has connected and sent its request behind it.
+    const int in_flight = connectTo(sock);
+    ASSERT_GE(in_flight, 0);
+    ASSERT_TRUE(sendAll(in_flight, line + "\n"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const int queued = connectTo(sock);
+    ASSERT_GE(queued, 0);
+    ASSERT_TRUE(sendAll(queued, line + "\n"));
+
+    ASSERT_EQ(::kill(pid, SIGTERM), 0);
+
+    // Both get their full answer, byte for byte as a clean run.
+    EXPECT_EQ(finishExchange(in_flight), once);
+    EXPECT_EQ(finishExchange(queued), once);
+
+    // Then the daemon exits 0, the socket is gone and the run report
+    // parses, with no client failure on it.
+    expectCleanExit(pid);
+    EXPECT_FALSE(fs::exists(sock));
+    EXPECT_LT(connectTo(sock), 0);
+    EXPECT_EQ(reportedClientErrors(dir), 0.0);
     fs::remove_all(dir);
 }
 

@@ -452,7 +452,9 @@ TEST(OnePassReplay, StoreWrittenByPerConfigReplayIsServedWarmUnchanged)
                                          &observation);
     expectSweepMatchesPerConfig(sweep, result, trace);
     const obs::MetricRegistry &m = observation.metrics;
-    EXPECT_EQ(m.counter("store/trace_hits"), 1u);
+    // The machine shard's miss records the stream afresh; the stored
+    // recording is never read.
+    EXPECT_EQ(m.counter("sweep/records"), 1u);
     EXPECT_EQ(m.counter("replay/onepass_passes"), 0u);
     EXPECT_EQ(m.counter("replay/onepass_slots"), 0u);
     EXPECT_EQ(m.counter("replay/per_config_slots"), 0u);

@@ -1,11 +1,12 @@
 /**
  * @file
  * End-to-end contract of store-backed sweeps: a cold run (fills the
- * store), a warm run (every shard hits, so not even the trace is
- * fetched), and a resumed run after a mid-sweep kill must all be
- * bitwise identical to a live no-store sweep — at 1 and 4 threads —
- * and missing or corrupt entries must fall back to fetching the
- * trace or simulating live, never to wrong data.
+ * store with shards only — recordings are never stored), a warm run
+ * (every shard hits, so nothing is recorded), and a resumed run after
+ * a mid-sweep kill (records once) must all be bitwise identical to a
+ * live no-store sweep — at 1 and 4 threads — and missing or corrupt
+ * entries must fall back to recording and simulating live, never to
+ * wrong data.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +23,10 @@
 
 #include "core/sweep.hh"
 #include "obs/metrics.hh"
+#include "store/codec.hh"
 #include "store/store.hh"
+#include "trace/tracefile.hh"
+#include "workload/system.hh"
 
 namespace oma
 {
@@ -158,11 +162,11 @@ storeEntries(const std::string &dir)
     return entries;
 }
 
-/** The one store entry whose key text contains every line of
+/** The store entries whose key text contains every line of
  * @p key_lines (each a complete `name=value` fingerprint line). */
-fs::path
-entryWithKey(const std::string &dir,
-             std::initializer_list<std::string> key_lines)
+std::vector<fs::path>
+entriesWithKey(const std::string &dir,
+               std::initializer_list<std::string> key_lines)
 {
     std::vector<fs::path> found;
     for (const fs::path &path : storeEntries(dir)) {
@@ -175,6 +179,16 @@ entryWithKey(const std::string &dir,
         if (all)
             found.push_back(path);
     }
+    return found;
+}
+
+/** The one store entry whose key text contains every line of
+ * @p key_lines. */
+fs::path
+entryWithKey(const std::string &dir,
+             std::initializer_list<std::string> key_lines)
+{
+    const std::vector<fs::path> found = entriesWithKey(dir, key_lines);
     EXPECT_EQ(found.size(), 1u);
     return found.empty() ? fs::path() : found.front();
 }
@@ -185,10 +199,42 @@ machineEntry(const std::string &dir)
     return entryWithKey(dir, {"artifact=5:shard", "component=7:machine"});
 }
 
-fs::path
-traceEntry(const std::string &dir)
+/** Store entries keyed as recordings (none since recordings stopped
+ * being stored; a store written before then holds one per sweep). */
+std::vector<fs::path>
+traceEntries(const std::string &dir)
 {
-    return entryWithKey(dir, {"artifact=5:trace"});
+    return entriesWithKey(dir, {"artifact=5:trace"});
+}
+
+/** Total bytes of every file under @p dir. */
+std::uintmax_t
+storeBytes(const std::string &dir)
+{
+    std::uintmax_t bytes = 0;
+    for (const auto &e : fs::recursive_directory_iterator(dir))
+        if (e.is_regular_file())
+            bytes += e.file_size();
+    return bytes;
+}
+
+/**
+ * The key a recording was stored under before recordings stopped
+ * being stored, spelled out field by field: the shard keys still
+ * extend the same base, so it must not change either.
+ */
+Fingerprint
+historicalTraceKey(BenchmarkId id, OsKind os, const RunConfig &rc)
+{
+    Fingerprint fp;
+    fp.u64("store.format_version", ArtifactStore::formatVersion);
+    fp.u64("trace.format_version", TraceFileHeader::currentVersion);
+    fp.str("run.os", osKindName(os));
+    fp.u64("run.seed", rc.seed);
+    fp.u64("run.references", rc.references);
+    benchmarkParams(id).fingerprint(fp);
+    fp.str("artifact", "trace");
+    return fp;
 }
 
 /** Flip the last byte (payload tail) of @p path, so its checksum
@@ -220,12 +266,11 @@ TEST(StoreSweep, ColdAndWarmRunsMatchTheLiveResultBitwise)
                       storeRun(dir, threads), &cold_obs);
         expectSameSweepResult(live, cold);
         EXPECT_EQ(cold_obs.metrics.counter("sweep/records"), 1u);
-        EXPECT_EQ(cold_obs.metrics.counter("store/trace_hits"), 0u);
+        EXPECT_EQ(cold_obs.metrics.counter("sweep/record_skips"), 0u);
         EXPECT_EQ(cold_obs.metrics.counter("sweep/trace_fetch_skips"),
                   0u);
-        // Everything persisted: the recording plus one shard per task.
-        EXPECT_EQ(cold_obs.metrics.counter("store/writes"),
-                  1 + taskCount());
+        // Everything persisted: one shard per task, no recording.
+        EXPECT_EQ(cold_obs.metrics.counter("store/writes"), taskCount());
 
         obs::Observation warm_obs;
         const SweepResult warm =
@@ -237,7 +282,6 @@ TEST(StoreSweep, ColdAndWarmRunsMatchTheLiveResultBitwise)
         // reads.
         EXPECT_EQ(warm_obs.metrics.counter("sweep/records"), 0u);
         EXPECT_EQ(warm_obs.metrics.counter("sweep/record_skips"), 1u);
-        EXPECT_EQ(warm_obs.metrics.counter("store/trace_hits"), 0u);
         EXPECT_EQ(warm_obs.metrics.counter("sweep/trace_fetch_skips"),
                   1u);
         EXPECT_EQ(warm_obs.metrics.counter("store/hits"), taskCount());
@@ -301,7 +345,7 @@ TEST(StoreSweep, CorruptEntriesFallBackToLiveSimulation)
     // Flip the last byte (payload tail) of every entry: checksums
     // fail, every load quarantines, and the sweep re-simulates.
     const auto entries = storeEntries(dir);
-    ASSERT_EQ(entries.size(), 1 + taskCount());
+    ASSERT_EQ(entries.size(), taskCount());
     for (const fs::path &path : entries)
         corruptEntry(path);
 
@@ -311,7 +355,7 @@ TEST(StoreSweep, CorruptEntriesFallBackToLiveSimulation)
                                             &observation);
     expectSameSweepResult(live, recovered);
     EXPECT_EQ(observation.metrics.counter("store/quarantined"),
-              1 + taskCount());
+              taskCount());
     EXPECT_EQ(observation.metrics.counter("store/hits"), 0u);
     EXPECT_EQ(observation.metrics.counter("sweep/records"), 1u);
 
@@ -354,25 +398,23 @@ TEST(StoreSweep, KilledSweepResumesFromPersistedShards)
         },
         testing::ExitedWithCode(42), "");
 
-    // The kill left a partial store: the recording plus the
-    // completed shards, and not the full set.
+    // The kill left a partial store: the completed shards, and not
+    // the full set.
     const std::size_t partial = storeEntries(dir).size();
-    EXPECT_GE(partial, 1 + kill_after);
-    EXPECT_LT(partial, 1 + taskCount());
+    EXPECT_GE(partial, kill_after);
+    EXPECT_LT(partial, taskCount());
 
     obs::Observation resumed_obs;
     const SweepResult resumed = sweep.run(benchmarkParams(BenchmarkId::Mab),
                                           OsKind::Mach, storeRun(dir, 1),
                                           &resumed_obs);
     expectSameSweepResult(live, resumed);
-    // The resume skips the record phase and every persisted shard...
-    EXPECT_EQ(resumed_obs.metrics.counter("sweep/records"), 0u);
-    EXPECT_EQ(resumed_obs.metrics.counter("store/trace_hits"), 1u);
-    EXPECT_GE(resumed_obs.metrics.counter("store/hits"),
-              1 + kill_after);
+    // The resume records once, skips every persisted shard...
+    EXPECT_EQ(resumed_obs.metrics.counter("sweep/records"), 1u);
+    EXPECT_GE(resumed_obs.metrics.counter("store/hits"), kill_after);
     // ...and persists only what the kill lost.
     EXPECT_EQ(resumed_obs.metrics.counter("store/writes"),
-              1 + taskCount() - partial);
+              taskCount() - partial);
 
     // After the resume the store is complete, also for 4 threads.
     obs::Observation warm_obs;
@@ -404,12 +446,11 @@ TEST(StoreSweep, DeletedSlotShardFetchesTheTraceOnceAndWritesOnlyIt)
                       storeRun(dir, threads), &observation);
         expectSameSweepResult(live, result);
         const obs::MetricRegistry &m = observation.metrics;
-        // One trace get (a hit), no record, one one-pass slot.
-        EXPECT_EQ(m.counter("store/trace_hits"), 1u);
-        EXPECT_EQ(m.counter("sweep/records"), 0u);
+        // One record (recordings are not stored), one one-pass slot.
+        EXPECT_EQ(m.counter("sweep/records"), 1u);
         EXPECT_EQ(m.counter("sweep/trace_fetch_skips"), 0u);
         EXPECT_EQ(m.counter("replay/onepass_slots"), 1u);
-        EXPECT_EQ(m.counter("store/hits"), 1 + taskCount() - 1);
+        EXPECT_EQ(m.counter("store/hits"), taskCount() - 1);
         EXPECT_EQ(m.counter("store/misses"), 1u);
         EXPECT_EQ(m.counter("store/writes"), 1u);
         EXPECT_TRUE(fs::exists(shard));
@@ -422,8 +463,8 @@ TEST(StoreSweep, UnreadableMachineShardFetchesTheTraceAndRewritesIt)
     // The machine shard stands in for the recording on a fully warm
     // sweep. Deleted, failing its checksum, or in the earlier
     // seven-counter format (checksum-valid but undecodable), it is a
-    // miss: the trace is fetched, the machine replayed and its shard
-    // rewritten, and the next run skips the fetch again.
+    // miss: the trace is recorded, the machine replayed and its shard
+    // rewritten, and the next run skips the record again.
     const ComponentSweep sweep = sweepUnderTest();
     const SweepResult live = sweep.run(benchmarkParams(BenchmarkId::Mab),
                                        OsKind::Mach, storeRun("", 1));
@@ -465,8 +506,7 @@ TEST(StoreSweep, UnreadableMachineShardFetchesTheTraceAndRewritesIt)
                           storeRun(dir, threads), &observation);
             expectSameSweepResult(live, result);
             const obs::MetricRegistry &m = observation.metrics;
-            EXPECT_EQ(m.counter("store/trace_hits"), 1u);
-            EXPECT_EQ(m.counter("sweep/records"), 0u);
+            EXPECT_EQ(m.counter("sweep/records"), 1u);
             EXPECT_EQ(m.counter("sweep/trace_fetch_skips"), 0u);
             EXPECT_EQ(m.counter("store/quarantined"),
                       mode == "corrupt" ? 1u : 0u);
@@ -482,7 +522,7 @@ TEST(StoreSweep, UnreadableMachineShardFetchesTheTraceAndRewritesIt)
             expectSameSweepResult(live, next);
             EXPECT_EQ(next_obs.metrics.counter("sweep/trace_fetch_skips"),
                       1u);
-            EXPECT_EQ(next_obs.metrics.counter("store/trace_hits"), 0u);
+            EXPECT_EQ(next_obs.metrics.counter("sweep/records"), 0u);
             EXPECT_EQ(next_obs.metrics.counter("store/misses"), 0u);
             fs::remove_all(dir);
         }
@@ -499,7 +539,8 @@ TEST(StoreSweep, DeletedTraceWithEveryShardPresentDoesNotRecord)
         const std::string dir = freshStoreDir("deleted_trace");
         (void)sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
                         storeRun(dir, threads));
-        ASSERT_TRUE(fs::remove(traceEntry(dir)));
+        // The cold run stored no recording: there is none to delete.
+        ASSERT_TRUE(traceEntries(dir).empty());
 
         obs::Observation observation;
         const SweepResult result =
@@ -510,9 +551,131 @@ TEST(StoreSweep, DeletedTraceWithEveryShardPresentDoesNotRecord)
         EXPECT_EQ(m.counter("sweep/records"), 0u);
         EXPECT_EQ(m.counter("sweep/record_skips"), 1u);
         EXPECT_EQ(m.counter("sweep/trace_fetch_skips"), 1u);
-        EXPECT_EQ(m.counter("store/trace_hits"), 0u);
         EXPECT_EQ(m.counter("store/misses"), 0u);
         EXPECT_EQ(m.counter("store/writes"), 0u);
+        fs::remove_all(dir);
+    }
+}
+
+TEST(StoreSweep, ColdSweepStoresOnlyShards)
+{
+    // One shard per task and nothing else: together they weigh less
+    // than the one recording the sweep made and did not store.
+    const ComponentSweep sweep = sweepUnderTest();
+    const std::string dir = freshStoreDir("shards_only");
+    const RunConfig rc = storeRun(dir, 2);
+    obs::Observation observation;
+    (void)sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach, rc,
+                    &observation);
+    EXPECT_EQ(observation.metrics.counter("sweep/records"), 1u);
+    EXPECT_EQ(observation.metrics.counter("store/writes"), taskCount());
+    EXPECT_EQ(storeEntries(dir).size(), taskCount());
+    EXPECT_EQ(entriesWithKey(dir, {"artifact=5:shard"}).size(),
+              taskCount());
+    EXPECT_TRUE(traceEntries(dir).empty());
+
+    System system(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
+                  rc.seed);
+    const std::string encoded =
+        store::encodeTrace(system.record(rc.references));
+    EXPECT_LT(storeBytes(dir), encoded.size());
+    fs::remove_all(dir);
+}
+
+TEST(StoreSweep, StoredTraceFromAnEarlierEngineIsNeverRead)
+{
+    // A store written while recordings were still stored holds one
+    // under the base key plus `artifact=trace`. The shard keys are
+    // unchanged, so such a store is served fully warm; where a shard
+    // is missing the sweep records rather than reading the old entry.
+    const ComponentSweep sweep = sweepUnderTest();
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        const std::string dir = freshStoreDir("orphan_trace");
+        const RunConfig rc = storeRun(dir, threads);
+        const SweepResult live = sweep.run(benchmarkParams(BenchmarkId::Mab),
+                                           OsKind::Mach, storeRun("", threads));
+        (void)sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach, rc);
+        {
+            System system(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
+                          rc.seed);
+            ArtifactStore(dir).put(
+                historicalTraceKey(BenchmarkId::Mab, OsKind::Mach, rc),
+                store::encodeTrace(system.record(rc.references)));
+        }
+        ASSERT_EQ(traceEntries(dir).size(), 1u);
+
+        obs::Observation warm_obs;
+        const SweepResult warm = sweep.run(benchmarkParams(BenchmarkId::Mab),
+                                           OsKind::Mach, rc, &warm_obs);
+        expectSameSweepResult(live, warm);
+        EXPECT_EQ(warm_obs.metrics.counter("sweep/records"), 0u);
+        EXPECT_EQ(warm_obs.metrics.counter("sweep/trace_fetch_skips"), 1u);
+        EXPECT_EQ(warm_obs.metrics.counter("store/hits"), taskCount());
+        EXPECT_EQ(warm_obs.metrics.counter("store/misses"), 0u);
+        EXPECT_EQ(warm_obs.metrics.counter("store/writes"), 0u);
+
+        ASSERT_TRUE(fs::remove(entryWithKey(
+            dir, {"artifact=5:shard", "component=6:dcache", "index=0"})));
+        obs::Observation miss_obs;
+        const SweepResult partial = sweep.run(
+            benchmarkParams(BenchmarkId::Mab), OsKind::Mach, rc, &miss_obs);
+        expectSameSweepResult(live, partial);
+        EXPECT_EQ(miss_obs.metrics.counter("sweep/records"), 1u);
+        // Only shard reads: the stored recording is not even looked up.
+        EXPECT_EQ(miss_obs.metrics.counter("store/hits"), taskCount() - 1);
+        EXPECT_EQ(miss_obs.metrics.counter("store/misses"), 1u);
+        EXPECT_EQ(miss_obs.metrics.counter("store/writes"), 1u);
+        EXPECT_EQ(traceEntries(dir).size(), 1u);
+        fs::remove_all(dir);
+    }
+}
+
+TEST(StoreSweep, ResumedSweepRecordsOnceAtAnyThreadCount)
+{
+    // A serial sweep killed after its third completed task leaves the
+    // same partial store every time; resuming it at 1 or 4 lanes
+    // records exactly once, writes only the missing shards and
+    // matches the live result bitwise.
+    const ComponentSweep sweep = sweepUnderTest();
+    const SweepResult live = sweep.run(benchmarkParams(BenchmarkId::Mab),
+                                       OsKind::Mach, storeRun("", 1));
+    constexpr std::uint64_t kill_after = 3;
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        const std::string dir = freshStoreDir("resume_lanes");
+        EXPECT_EXIT(
+            {
+                obs::Progress progress(
+                    taskCount(),
+                    [](std::uint64_t done, std::uint64_t) {
+                        if (done >= kill_after)
+                            ::_exit(42);
+                    },
+                    taskCount());
+                obs::Observation observation;
+                observation.progress = &progress;
+                (void)sweep.run(benchmarkParams(BenchmarkId::Mab),
+                                OsKind::Mach, storeRun(dir, 1),
+                                &observation);
+            },
+            testing::ExitedWithCode(42), "");
+        const std::size_t partial = storeEntries(dir).size();
+        ASSERT_GE(partial, kill_after);
+        ASSERT_LT(partial, taskCount());
+
+        obs::Observation observation;
+        const SweepResult resumed =
+            sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
+                      storeRun(dir, threads), &observation);
+        expectSameSweepResult(live, resumed);
+        const obs::MetricRegistry &m = observation.metrics;
+        EXPECT_EQ(m.counter("sweep/records"), 1u);
+        EXPECT_EQ(m.counter("sweep/record_skips"), 0u);
+        EXPECT_EQ(m.counter("store/hits"), partial);
+        EXPECT_EQ(m.counter("store/writes"), taskCount() - partial);
+        EXPECT_EQ(storeEntries(dir).size(), taskCount());
+        EXPECT_TRUE(traceEntries(dir).empty());
         fs::remove_all(dir);
     }
 }

@@ -19,6 +19,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/report.hh"
 #include "support/json.hh"
@@ -255,6 +256,61 @@ TEST(RunReport, CsvListsEveryRow)
               std::string::npos);
     EXPECT_NE(csv.find("histogram,tlb/refills/sum,303\n"),
               std::string::npos);
+}
+
+/** Minimal RFC 4180 reader: records of fields, a quoted field may
+ * hold commas, newlines and doubled quotes. */
+std::vector<std::vector<std::string>>
+readCsv(std::string_view text)
+{
+    std::vector<std::vector<std::string>> rows;
+    std::vector<std::string> row;
+    std::string field;
+    bool quoted = false;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const char c = text[i];
+        if (quoted) {
+            if (c != '"')
+                field += c;
+            else if (i + 1 < text.size() && text[i + 1] == '"')
+                field += text[++i];
+            else
+                quoted = false;
+        } else if (c == '"') {
+            quoted = true;
+        } else if (c == ',') {
+            row.push_back(std::move(field));
+            field.clear();
+        } else if (c == '\n') {
+            row.push_back(std::move(field));
+            field.clear();
+            rows.push_back(std::move(row));
+            row.clear();
+        } else {
+            field += c;
+        }
+    }
+    EXPECT_FALSE(quoted) << "unterminated quoted field";
+    EXPECT_TRUE(row.empty() && field.empty()) << "unterminated record";
+    return rows;
+}
+
+TEST(RunReport, CsvMetaValuesSurviveQuotesAndNewlines)
+{
+    RunReport report("unit_csv");
+    report.meta["quote"] = "say \"hi\"\n";
+    std::ostringstream os;
+    report.writeCsv(os);
+    EXPECT_EQ(os.str(),
+              "kind,name,value\n"
+              "meta,quote,\"say \"\"hi\"\"\n\"\n");
+
+    const std::vector<std::vector<std::string>> rows = readCsv(os.str());
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0],
+              (std::vector<std::string>{"kind", "name", "value"}));
+    EXPECT_EQ(rows[1], (std::vector<std::string>{"meta", "quote",
+                                                 "say \"hi\"\n"}));
 }
 
 TEST(RunReport, SaveWritesIntoTheRequestedDirectory)

@@ -13,7 +13,12 @@
  *  * Otherwise the daemon binds a Unix-domain socket (`--socket`),
  *    answers one connection at a time (the client half-closes after
  *    its last line) and keeps running until a control line
- *    `{"schema":"oma-control-v1","cmd":"shutdown"}` arrives. A client
+ *    `{"schema":"oma-control-v1","cmd":"shutdown"}` arrives or a
+ *    SIGTERM/SIGINT asks it to stop. A stop signal is only taken
+ *    while the daemon waits for a connection, so the connection in
+ *    flight is answered in full; then the socket is unlinked, the
+ *    connections already queued are answered too, and the daemon
+ *    exits 0 with its run report saved. A client
  *    that resets the connection or hangs up before reading its reply,
  *    sends more than api::maxRequestBytes, or has not half-closed
  *    within api::requestReadTimeoutMs (either of the last two gets
@@ -29,6 +34,7 @@
  */
 
 #include <cerrno>
+#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +42,9 @@
 #include <string>
 #include <vector>
 
+#include <fcntl.h>
+#include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -264,6 +273,44 @@ sendAll(int fd, std::string_view data)
     return true;
 }
 
+/** Set by a stop signal (SIGTERM, SIGINT); read by the accept loop. */
+// oma-lint: allow(shared-state): the one async-signal-safe handoff
+// from the signal handler to the accept loop.
+volatile std::sig_atomic_t g_stopRequested = 0;
+
+void
+onStopSignal(int)
+{
+    g_stopRequested = 1;
+}
+
+/**
+ * Route SIGTERM and SIGINT to onStopSignal and block both in the
+ * calling thread, before any other thread exists, so every engine lane
+ * inherits the block. Returns the signal mask to wait for connections
+ * with: the one place a stop signal is delivered.
+ */
+sigset_t
+blockStopSignals()
+{
+    struct sigaction action{};
+    action.sa_handler = onStopSignal;
+    sigemptyset(&action.sa_mask);
+    // No SA_RESTART: the connection wait returns EINTR.
+    action.sa_flags = 0;
+    sigset_t stop;
+    sigemptyset(&stop);
+    for (const int sig : {SIGTERM, SIGINT}) {
+        ::sigaction(sig, &action, nullptr);
+        sigaddset(&stop, sig);
+    }
+    sigset_t wait_mask;
+    ::pthread_sigmask(SIG_BLOCK, &stop, &wait_mask);
+    sigdelset(&wait_mask, SIGTERM);
+    sigdelset(&wait_mask, SIGINT);
+    return wait_mask;
+}
+
 /** Count one client that failed mid-conversation; the daemon serves
  * on. */
 void
@@ -290,9 +337,52 @@ serveOnce(api::QueryEngine &engine, obs::Observation *observation)
     return 0;
 }
 
+/** Read one client's request on @p client_fd, answer it and close the
+ * connection; sets @p shutdown when the batch held a shutdown line. */
+void
+serveClient(api::QueryEngine &engine, int client_fd,
+            obs::Observation *observation, bool &shutdown)
+{
+    std::string text;
+    std::string reply;
+    switch (readRequest(client_fd, text)) {
+      case ReadResult::Failed:
+        clientError(observation, std::string("read failed: ") +
+                    std::strerror(errno));
+        ::close(client_fd);
+        return;
+      case ReadResult::TooLarge: {
+        const std::string why = "request exceeds " +
+            std::to_string(api::maxRequestBytes) + " bytes";
+        clientError(observation, why);
+        reply = api::encodeError(why) + '\n';
+        break;
+      }
+      case ReadResult::TimedOut: {
+        const std::string why = "request not completed within " +
+            std::to_string(api::requestReadTimeoutMs) + " ms";
+        clientError(observation, why);
+        reply = api::encodeError(why) + '\n';
+        break;
+      }
+      case ReadResult::Complete:
+        for (const std::string &answer : serveBatch(
+                 engine, splitLines(text), observation, shutdown)) {
+            reply += answer;
+            reply.push_back('\n');
+        }
+        break;
+    }
+    if (!sendAll(client_fd, reply))
+        clientError(observation,
+                    std::string("hung up before its reply: ") +
+                        std::strerror(errno));
+    ::close(client_fd);
+}
+
 int
 serveSocket(api::QueryEngine &engine, const std::string &path,
-            obs::Observation *observation)
+            const sigset_t &wait_mask, obs::Observation *observation)
 {
     fatalIf(path.size() >= sizeof(sockaddr_un{}.sun_path),
             "oma_serve: socket path too long: " + path);
@@ -316,52 +406,40 @@ serveSocket(api::QueryEngine &engine, const std::string &path,
     // Present (as zero) in every socket-mode report.
     observation->metrics.add("serve/client_errors", 0);
     bool shutdown = false;
-    while (!shutdown) {
+    while (!shutdown && g_stopRequested == 0) {
+        // Stop signals are deliverable only inside this wait, which
+        // they end with EINTR; a signal raised while a client is
+        // served stays pending until the loop comes back here.
+        pollfd waiting{listen_fd, POLLIN, 0};
+        if (::ppoll(&waiting, 1, nullptr, &wait_mask) < 0) {
+            if (errno == EINTR)
+                continue;
+            fatal(std::string("oma_serve: poll: ") +
+                  std::strerror(errno));
+        }
         const int client_fd = ::accept(listen_fd, nullptr, nullptr);
         if (client_fd < 0) {
-            if (errno == EINTR)
+            if (errno == EINTR || errno == ECONNABORTED)
                 continue;
             fatal(std::string("oma_serve: accept: ") +
                   std::strerror(errno));
         }
-        std::string text;
-        std::string reply;
-        switch (readRequest(client_fd, text)) {
-          case ReadResult::Failed:
-            clientError(observation, std::string("read failed: ") +
-                        std::strerror(errno));
-            ::close(client_fd);
-            continue;
-          case ReadResult::TooLarge: {
-            const std::string why = "request exceeds " +
-                std::to_string(api::maxRequestBytes) + " bytes";
-            clientError(observation, why);
-            reply = api::encodeError(why) + '\n';
-            break;
-          }
-          case ReadResult::TimedOut: {
-            const std::string why = "request not completed within " +
-                std::to_string(api::requestReadTimeoutMs) + " ms";
-            clientError(observation, why);
-            reply = api::encodeError(why) + '\n';
-            break;
-          }
-          case ReadResult::Complete:
-            for (const std::string &answer : serveBatch(
-                     engine, splitLines(text), observation, shutdown)) {
-                reply += answer;
-                reply.push_back('\n');
-            }
-            break;
+        serveClient(engine, client_fd, observation, shutdown);
+    }
+    ::unlink(path.c_str());
+    if (g_stopRequested != 0) {
+        // No new client can find the socket now; answer the ones
+        // that already connected, then stop.
+        inform("oma_serve: stop signal, draining queued clients");
+        ::fcntl(listen_fd, F_SETFL, O_NONBLOCK);
+        int client_fd = -1;
+        while ((client_fd = ::accept(listen_fd, nullptr, nullptr)) >= 0) {
+            // The accepted socket must block like any other client.
+            ::fcntl(client_fd, F_SETFL, 0);
+            serveClient(engine, client_fd, observation, shutdown);
         }
-        if (!sendAll(client_fd, reply))
-            clientError(observation,
-                        std::string("hung up before its reply: ") +
-                            std::strerror(errno));
-        ::close(client_fd);
     }
     ::close(listen_fd);
-    ::unlink(path.c_str());
     inform("oma_serve: shutdown");
     return 0;
 }
@@ -372,6 +450,8 @@ int
 main(int argc, char **argv)
 {
     const ServeOptions opt = parseOptions(argc, argv);
+    // Before the engine exists, so no lane can take a stop signal.
+    const sigset_t wait_mask = opt.once ? sigset_t{} : blockStopSignals();
     api::QueryEngineConfig config;
     config.storeDir = opt.storeDir;
     config.maxInflight = opt.maxInflight;
@@ -388,7 +468,7 @@ main(int argc, char **argv)
 
     const int rc = opt.once
         ? serveOnce(engine, &observation)
-        : serveSocket(engine, opt.socketPath, &observation);
+        : serveSocket(engine, opt.socketPath, wait_mask, &observation);
 
     report.metrics.merge(observation.metrics);
     const std::string path = report.save();
