@@ -105,7 +105,7 @@ Cache::missFill(std::uint64_t line, std::size_t base,
                 std::uint64_t tag, RefKind kind, bool is_store)
 {
     ++_stats.misses[unsigned(kind)];
-    if (_touched.insert(line).second)
+    if (_touched.insert(line))
         ++_stats.compulsoryMisses;
 
     const bool allocate = !is_store ||

@@ -23,11 +23,11 @@
 #define OMA_CACHE_CACHE_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "area/geometry.hh"
 #include "support/fingerprint.hh"
+#include "support/flat_set.hh"
 #include "support/rng.hh"
 #include "trace/memref.hh"
 
@@ -193,9 +193,7 @@ class Cache
     Rng _rng;
     CacheStats _stats;
     /** Line numbers ever resident, for compulsory-miss classification. */
-    // oma-lint: allow(ordered-results): membership test via insert()
-    // only; never iterated, so traversal order cannot reach results.
-    std::unordered_set<std::uint64_t> _touched;
+    FlatU64Set _touched;
 };
 
 } // namespace oma

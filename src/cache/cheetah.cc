@@ -117,7 +117,7 @@ Cheetah::accessNew(std::uint64_t line, unsigned kind)
         stack[0] = line;
     }
     // A line resident in any stack has been seen before.
-    if (!resident && _touched.insert(line).second)
+    if (!resident && _touched.insert(line))
         ++_compulsory;
 }
 

@@ -31,11 +31,11 @@
 #define OMA_CACHE_CHEETAH_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "area/geometry.hh"
 #include "cache/cache.hh"
+#include "support/flat_set.hh"
 #include "trace/memref.hh"
 
 namespace oma
@@ -181,9 +181,7 @@ class Cheetah
     std::uint64_t _lastLine = emptyLine;
     std::uint64_t _compulsory = 0;
     /** Lines ever seen, for compulsory-miss classification. */
-    // oma-lint: allow(ordered-results): membership test via insert()
-    // only; never iterated, so traversal order cannot reach results.
-    std::unordered_set<std::uint64_t> _touched;
+    FlatU64Set _touched;
 };
 
 } // namespace oma

@@ -12,6 +12,7 @@
 #include "core/component.hh"
 
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cache/cheetah.hh"
@@ -493,37 +494,53 @@ onePassEligible(const ComponentSlot &slot)
         Cheetah::exactFor(std::get<CacheParams>(slot.params));
 }
 
+OnePassReplayer::OnePassReplayer(ComponentKind kind,
+                                 std::vector<CacheGeometry> geoms)
+    : _fetchStream(kind == ComponentKind::ICache),
+      _geoms(std::move(geoms)), _engine(Cheetah::covering(_geoms))
+{
+    panicIf(kind != ComponentKind::ICache &&
+                kind != ComponentKind::DCache,
+            "OnePassReplayer: only I-cache and D-cache slots");
+    _paddr.reserve(RecordedTrace::chunkRefs);
+    if (!_fetchStream)
+        _flags.reserve(RecordedTrace::chunkRefs);
+}
+
+void
+OnePassReplayer::replay(const RecordedTrace &window)
+{
+    for (std::size_t c = 0; c < window.numChunks(); ++c) {
+        compactCacheStream(window.chunkView(c), _fetchStream, _paddr,
+                           _flags);
+        if (_fetchStream)
+            _engine.replayFetchBatch(_paddr.data(), _paddr.size());
+        else
+            _engine.replayDataBatch(_paddr.data(), _flags.data(),
+                                    _paddr.size());
+    }
+}
+
+std::vector<CacheStats>
+OnePassReplayer::stats() const
+{
+    std::vector<CacheStats> stats;
+    stats.reserve(_geoms.size());
+    for (const CacheGeometry &geom : _geoms)
+        stats.push_back(_engine.stats(geom));
+    return stats;
+}
+
 std::vector<CacheStats>
 replayOnePass(const RecordedTrace &trace, ComponentKind kind,
               const std::vector<CacheGeometry> &geoms,
               std::uint64_t *delivered)
 {
-    panicIf(kind != ComponentKind::ICache &&
-                kind != ComponentKind::DCache,
-            "replayOnePass: only I-cache and D-cache slots");
-    const bool fetch_stream = kind == ComponentKind::ICache;
-    Cheetah engine = Cheetah::covering(geoms);
-    std::vector<std::uint32_t> paddr;
-    std::vector<std::uint8_t> flags;
-    paddr.reserve(RecordedTrace::chunkRefs);
-    if (!fetch_stream)
-        flags.reserve(RecordedTrace::chunkRefs);
-    for (std::size_t c = 0; c < trace.numChunks(); ++c) {
-        compactCacheStream(trace.chunkView(c), fetch_stream, paddr,
-                           flags);
-        if (fetch_stream)
-            engine.replayFetchBatch(paddr.data(), paddr.size());
-        else
-            engine.replayDataBatch(paddr.data(), flags.data(),
-                                   paddr.size());
-    }
+    OnePassReplayer pass(kind, geoms);
+    pass.replay(trace);
     if (delivered != nullptr)
-        *delivered = engine.accesses();
-    std::vector<CacheStats> stats;
-    stats.reserve(geoms.size());
-    for (const CacheGeometry &geom : geoms)
-        stats.push_back(engine.stats(geom));
-    return stats;
+        *delivered = pass.delivered();
+    return pass.stats();
 }
 
 std::uint64_t

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "cache/cache.hh"
+#include "cache/cheetah.hh"
 #include "cache/hierarchy.hh"
 #include "cache/victim.hh"
 #include "machine/machine.hh"
@@ -175,7 +176,9 @@ makeComponent(const ComponentSlot &slot,
  * Replay the whole recording through @p component, chunk by chunk,
  * firing trace events at their pinned positions for components that
  * want them (chunks are sliced at event indices; event-blind
- * components stream whole chunks).
+ * components stream whole chunks). The component keeps its state, so
+ * successive windows of one stream (RecordedTrace::restart) replay
+ * exactly as the whole recording would.
  *
  * @return References examined (the trace length).
  */
@@ -192,11 +195,47 @@ std::uint64_t replayComponent(const RecordedTrace &trace,
 /**
  * One-pass replay of cache slots that share a kind (ICache or DCache)
  * and a line size: the kind's stream runs once through one Cheetah
- * engine covering every geometry of @p geoms, and each geometry's
+ * engine covering every geometry of the group, and each geometry's
  * CacheStats is derived from the stack-depth histograms. Every slot
  * must be onePassEligible(); its counters are then bitwise-identical
  * to makeComponent() + replayComponent()
  * (tests/cache/test_onepass_differential.cc).
+ *
+ * The engine keeps its stacks between replay() calls, so a stream fed
+ * window by window (RecordedTrace::restart) scores exactly what the
+ * whole recording does.
+ */
+class OnePassReplayer
+{
+  public:
+    OnePassReplayer(ComponentKind kind,
+                    std::vector<CacheGeometry> geoms);
+
+    /** Replay a recording, or the next window of a stream. */
+    void replay(const RecordedTrace &window);
+
+    /** One CacheStats per geometry, index-aligned with the
+     * constructor's list. */
+    [[nodiscard]] std::vector<CacheStats> stats() const;
+
+    /** References the passes consumed so far (the kind's filtered
+     * stream length). */
+    [[nodiscard]] std::uint64_t
+    delivered() const
+    {
+        return _engine.accesses();
+    }
+
+  private:
+    bool _fetchStream;
+    std::vector<CacheGeometry> _geoms;
+    Cheetah _engine;
+    std::vector<std::uint32_t> _paddr; //!< Per-chunk compaction scratch.
+    std::vector<std::uint8_t> _flags;
+};
+
+/**
+ * OnePassReplayer over one whole recording.
  *
  * @param delivered When non-null, receives the references the pass
  *        consumed (the kind's filtered stream length).

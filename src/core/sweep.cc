@@ -5,12 +5,15 @@
 
 #include "core/sweep.hh"
 
+#include <array>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "obs/export.hh"
 #include "store/codec.hh"
+#include "support/clock.hh"
 #include "support/logging.hh"
 #include "support/threadpool.hh"
 #include "trace/tracefile.hh"
@@ -40,6 +43,25 @@ sweepCacheParams(const CacheGeometry &geom, std::uint64_t bank_salt,
 
 constexpr std::uint64_t icacheBankSalt = 1;
 constexpr std::uint64_t dcacheBankSalt = 2;
+
+/**
+ * Run @p fn, adding its wall time to gauge "time_ms/<name>" of
+ * @p metrics when non-null. No call is counted: work done in steps
+ * (one per wave) counts its one call where it finishes.
+ */
+template <typename Fn>
+void
+timeStep(obs::MetricRegistry *metrics, const std::string &name, Fn &&fn)
+{
+    if (metrics == nullptr) {
+        fn();
+        return;
+    }
+    const std::int64_t start = Clock::nowNs();
+    fn();
+    metrics->accumulate("time_ms/" + name,
+                        Clock::toMs(Clock::nowNs() - start));
+}
 
 /**
  * Fingerprint of everything upstream of the record phase: formats,
@@ -103,34 +125,42 @@ ComponentSweep::run(const WorkloadParams &workload, OsKind os,
         ArtifactStore::open(run.storeDir);
     const Fingerprint base = sweepBaseKey(workload, os, run);
 
-    // Record the stream, at most once and only when the replay phase
-    // asks for it (on the calling thread: the metric registry is not
-    // thread-safe). Recording is serial: the workload RNG and the OS
+    // Record the stream only when some shard missed, one window per
+    // replay wave on that wave's producer lane. Windows are recorded
+    // in stream order from one System, so the workload RNG and the OS
     // model advance exactly as in a legacy single-pass run, and
-    // page-invalidation events land inline in the recording at the
-    // index of the reference the OS fired them while producing, which
-    // is where every replay applies them. The recording itself is
-    // never stored: re-recording costs about what reading, checking
-    // and decoding a stored one would (docs/MODEL.md §10).
-    RecordedTrace trace;
-    bool fetched = false;
-    const auto fetch = [&]() -> const RecordedTrace & {
-        fetched = true;
-        System system(workload, os, run.seed);
-        if (observation != nullptr) {
-            obs::Span span(observation->metrics, "sweep/record");
-            trace = system.record(run.references);
-            observation->metrics.add("sweep/records");
-        } else {
-            trace = system.record(run.references);
+    // page-invalidation events land inline at the index of the
+    // reference the OS fired them while producing, which is where
+    // every replay applies them. The recording is never stored:
+    // re-recording costs about what reading, checking and decoding a
+    // stored one would (docs/MODEL.md §10).
+    constexpr std::uint64_t window_refs = RecordedTrace::chunkRefs;
+    std::optional<System> system;
+    WindowSource source;
+    source.windows = std::size_t(std::max<std::uint64_t>(
+        1, (run.references + window_refs - 1) / window_refs));
+    source.fill = [&](std::size_t k, RecordedTrace &buffer,
+                      obs::MetricRegistry *metrics)
+        -> const RecordedTrace & {
+        const std::uint64_t begin = std::uint64_t(k) * window_refs;
+        timeStep(metrics, "sweep/record", [&] {
+            if (!system)
+                system.emplace(workload, os, run.seed);
+            buffer.restart(begin);
+            system->recordInto(
+                buffer, std::min(window_refs, run.references - begin));
+        });
+        if (k == 0 && metrics != nullptr) {
+            metrics->add("calls/sweep/record");
+            metrics->add("sweep/records");
         }
-        return trace;
+        return buffer;
     };
 
     SweepResult result =
-        replayTrace(fetch, ThreadPool::resolveThreads(run.threads),
+        replayTrace(source, ThreadPool::resolveThreads(run.threads),
                     observation, store.get(), base);
-    if (observation != nullptr && !fetched) {
+    if (observation != nullptr && !system) {
         observation->metrics.add("sweep/trace_fetch_skips");
         observation->metrics.add("sweep/record_skips");
     }
@@ -144,37 +174,44 @@ SweepResult
 ComponentSweep::run(const RecordedTrace &trace, unsigned threads,
                     obs::Observation *observation) const
 {
-    return replayTrace([&]() -> const RecordedTrace & { return trace; },
-                       ThreadPool::resolveThreads(threads), observation,
-                       nullptr, Fingerprint());
+    // The whole recording is the one window; there is nothing to
+    // produce.
+    WindowSource source;
+    source.fill = [&](std::size_t, RecordedTrace &,
+                      obs::MetricRegistry *) -> const RecordedTrace & {
+        return trace;
+    };
+    return replayTrace(source, ThreadPool::resolveThreads(threads),
+                       observation, nullptr, Fingerprint());
 }
 
 SweepResult
-ComponentSweep::replayTrace(const TraceFetch &fetch, unsigned threads,
+ComponentSweep::replayTrace(const WindowSource &source, unsigned threads,
                             obs::Observation *observation,
                             const ArtifactStore *store,
                             const Fingerprint &base_key) const
 {
-    // Two parallel phases around at most one trace fetch. Phase A
-    // gives the reference machine and every component slot its one
-    // store read (exact integer counters, so a hit reproduces the
-    // live slot bit-for-bit). The machine shard also carries the
+    // Phase A gives the reference machine and every component slot
+    // its one store read (exact integer counters, so a hit reproduces
+    // the live slot bit-for-bit). The machine shard also carries the
     // recording's reference and event counts and otherCpi, so when
-    // every unit hits the trace is never touched; only if something
-    // missed is it recorded, once, on the calling thread.
-    // Phase B then replays the missing consumers alone: one flat
-    // task space keeps every lane busy, each task owns its private
-    // simulators and writes only its own slots' results, so the
-    // reduction order is fixed by construction and the results are
-    // bitwise identical for any thread count. Slots the one-pass engine scores exactly
-    // (onePassEligible: LRU write-through write-allocate
-    // I-/D-caches) are grouped by (kind, line size) into one task
-    // that replays the stream once through a Cheetah engine; every
-    // other slot streams the packed trace columns, chunk by chunk,
-    // through its own simulator's access body (core/component.hh).
-    // Each replayed shard is persisted right after simulating —
-    // which is what makes a killed sweep resume at its last
-    // completed shard.
+    // every unit hits the stream is never touched.
+    // Only if something missed does phase B run, as waves: one
+    // parallelFor per window plus one. In wave k, index 0 produces
+    // window k into the idle one of two buffers while every other
+    // index steps one replay task over window k − 1 (in wave 0, builds
+    // its simulators instead). A task's simulators live across waves
+    // and see the whole stream in order; each task writes only its
+    // own slots' results, so the reduction order is fixed by
+    // construction and the results are bitwise identical for any
+    // thread count. Slots the one-pass engine scores exactly
+    // (onePassEligible: LRU write-through write-allocate I-/D-caches)
+    // are grouped by (kind, line size) into one task that streams
+    // through a Cheetah engine; every other slot streams the packed
+    // trace columns through its own simulator's access body
+    // (core/component.hh). In the last wave each task persists its
+    // shards and then ticks progress — which is what makes a killed
+    // sweep resume from its persisted shards.
     const std::size_t n_slots = _slots.size();
 
     SweepResult result;
@@ -208,12 +245,14 @@ ComponentSweep::replayTrace(const TraceFetch &fetch, unsigned threads,
         }
     }
 
-    // Per-slot metric shards (index 0 = reference machine, 1 + s =
-    // slot s): each task writes only its own slots' shards, so the
-    // post-loop merge (in slot order) is a pure function of the
-    // work — never of the schedule or lane count.
+    // Per-unit metric shards (index 0 = reference machine, 1 + s =
+    // slot s, then the producer's): each lane writes only its own
+    // item's shard, so the post-loop merge (in that order) is a pure
+    // function of the work — never of the schedule or lane count.
     std::vector<obs::MetricRegistry> shards(
-        observation != nullptr ? 1 + n_slots : 0);
+        observation != nullptr ? 2 + n_slots : 0);
+    obs::MetricRegistry *const producer_metrics =
+        observation != nullptr ? &shards.back() : nullptr;
 
     const auto loadShard = [&](const Fingerprint &key,
                                auto decode) -> bool {
@@ -301,19 +340,24 @@ ComponentSweep::replayTrace(const TraceFetch &fetch, unsigned threads,
         }
     };
 
-    // Phase B task plan over the missing units: the reference
-    // machine (when missing) is a task, each one-pass group of
-    // missing slots is one task (created where its first slot
-    // appears), and every other missing slot is a task of its own.
+    // Phase B task plan over the missing units, heaviest first: the
+    // reference machine (when missing), then one task per one-pass
+    // group of missing slots (in order of the group's first slot),
+    // then every other missing slot as a task of its own. A task's
+    // simulators are built in its first wave.
     struct ReplayTask
     {
         std::vector<std::size_t> slots; //!< Empty: the machine.
         bool onePass = false;
+        std::unique_ptr<Machine> machine;
+        std::unique_ptr<OnePassReplayer> group;
+        std::unique_ptr<ComponentReplayer> component;
     };
     std::vector<ReplayTask> tasks;
     const auto planTasks = [&] {
         if (!hit[0])
-            tasks.push_back({{}, false});
+            tasks.emplace_back();
+        std::vector<std::size_t> per_config;
         std::map<std::pair<ComponentKind, std::uint64_t>, std::size_t>
             group_task;
         for (std::size_t s = 0; s < n_slots; ++s) {
@@ -321,7 +365,7 @@ ComponentSweep::replayTrace(const TraceFetch &fetch, unsigned threads,
                 continue;
             const ComponentSlot &slot = _slots[s];
             if (!onePassEligible(slot)) {
-                tasks.push_back({{s}, false});
+                per_config.push_back(s);
                 continue;
             }
             const auto [it, fresh] = group_task.emplace(
@@ -330,112 +374,149 @@ ComponentSweep::replayTrace(const TraceFetch &fetch, unsigned threads,
                     std::get<CacheParams>(slot.params).geom.lineBytes),
                 tasks.size());
             if (fresh)
-                tasks.push_back({{}, true});
+                tasks.emplace_back().onePass = true;
             tasks[it->second].slots.push_back(s);
         }
+        for (const std::size_t s : per_config)
+            tasks.emplace_back().slots = {s};
     };
 
-    // Null unless something missed.
-    const RecordedTrace *trace = nullptr;
-    const auto replayMachine = [&] {
-        // Reference machine replay: stall attribution for the
-        // configuration-independent CPI components.
-        Machine machine(_refMachine);
-        trace->replay([&](const MemRef &ref) { machine.observe(ref); },
-                      [&](const TraceEvent &e) {
-                          machine.mmu().invalidatePage(e.vpn, e.asid,
-                                                       e.global);
-                      });
-        store::MachineShard &shard = machine_shard;
-        shard.instructions = machine.stalls().instructions;
-        shard.icacheStall = machine.stalls().icacheStall;
-        shard.dcacheStall = machine.stalls().dcacheStall;
-        shard.wbStall = machine.stalls().wbStall;
-        shard.tlbStall = machine.stalls().tlbStall;
-        shard.wbStores = machine.writeBuffer().stores();
-        shard.wbStallCycles = machine.writeBuffer().stallCycles();
-        shard.references = trace->size();
-        shard.events = trace->events().size();
-        shard.otherCpi = trace->otherCpi();
-        saveShard(keys[0], store::encodeMachineShard(shard));
-        finishMachine();
+    // Pass-level metrics of a one-pass task land in its first derived
+    // slot's shard.
+    const auto groupMetrics = [&](const ReplayTask &t) {
+        return observation != nullptr ? &shards[1 + t.slots.front()]
+                                      : nullptr;
     };
 
-    const auto replayPerConfig = [&](std::size_t s) {
-        const std::unique_ptr<ComponentReplayer> component =
-            makeComponent(_slots[s], _refMachine);
-        replayComponent(*trace, *component);
-        result._stats[s] = component->counters();
-        saveShard(keys[1 + s], encodeComponentCounters(result._stats[s]));
-        if (observation != nullptr) {
-            shards[1 + s].add("replay/batched_refs",
-                              component->delivered());
-            shards[1 + s].add("replay/per_config_slots");
-        }
-        finishSlot(s);
-    };
-
-    const auto replayGroup = [&](const std::vector<std::size_t> &slots) {
-        // One pass derives every missing slot of the group.
-        std::vector<CacheGeometry> geoms;
-        for (const std::size_t s : slots)
-            geoms.push_back(std::get<CacheParams>(_slots[s].params).geom);
-
-        // Pass-level metrics land in the first derived slot's shard.
-        obs::MetricRegistry *m =
-            observation != nullptr ? &shards[1 + slots.front()]
-                                   : nullptr;
-        std::unique_ptr<obs::Span> span;
-        if (m != nullptr)
-            span = std::make_unique<obs::Span>(*m, "sweep/replay/onepass");
-        std::uint64_t delivered = 0;
-        const std::vector<CacheStats> stats = replayOnePass(
-            *trace, _slots[slots.front()].kind, geoms, &delivered);
-        span.reset();
-        if (m != nullptr) {
-            m->add("replay/onepass_passes");
-            m->add("replay/onepass_slots", slots.size());
-            m->add("replay/batched_refs", delivered);
-        }
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            result._stats[slots[i]] = stats[i];
-            saveShard(keys[1 + slots[i]],
-                      encodeComponentCounters(stats[i]));
-            finishSlot(slots[i]);
+    const auto buildTask = [&](ReplayTask &t) {
+        if (t.slots.empty()) {
+            // Reference machine replay: stall attribution for the
+            // configuration-independent CPI components. A shard that
+            // failed to decode may have left partial fields behind.
+            t.machine = std::make_unique<Machine>(_refMachine);
+            machine_shard = store::MachineShard();
+        } else if (t.onePass) {
+            // One pass derives every missing slot of the group.
+            std::vector<CacheGeometry> geoms;
+            for (const std::size_t s : t.slots)
+                geoms.push_back(
+                    std::get<CacheParams>(_slots[s].params).geom);
+            t.group = std::make_unique<OnePassReplayer>(
+                _slots[t.slots.front()].kind, std::move(geoms));
+        } else {
+            t.component =
+                makeComponent(_slots[t.slots.front()], _refMachine);
         }
     };
 
-    const auto body = [&](std::size_t task) {
-        const ReplayTask &t = tasks[task];
-        if (t.slots.empty())
-            replayMachine();
-        else if (t.onePass)
-            replayGroup(t.slots);
+    const auto stepTask = [&](ReplayTask &t,
+                              const RecordedTrace &window) {
+        if (t.machine != nullptr) {
+            Machine &machine = *t.machine;
+            window.replay(
+                [&](const MemRef &ref) { machine.observe(ref); },
+                [&](const TraceEvent &e) {
+                    machine.mmu().invalidatePage(e.vpn, e.asid,
+                                                 e.global);
+                });
+            machine_shard.references += window.size();
+            machine_shard.events += window.events().size();
+            machine_shard.otherCpi = window.otherCpi();
+        } else if (t.group != nullptr) {
+            timeStep(groupMetrics(t), "sweep/replay/onepass",
+                     [&] { t.group->replay(window); });
+        } else {
+            replayComponent(window, *t.component);
+        }
+    };
+
+    const auto finishTask = [&](ReplayTask &t) {
+        if (t.machine != nullptr) {
+            const Machine &machine = *t.machine;
+            store::MachineShard &shard = machine_shard;
+            shard.instructions = machine.stalls().instructions;
+            shard.icacheStall = machine.stalls().icacheStall;
+            shard.dcacheStall = machine.stalls().dcacheStall;
+            shard.wbStall = machine.stalls().wbStall;
+            shard.tlbStall = machine.stalls().tlbStall;
+            shard.wbStores = machine.writeBuffer().stores();
+            shard.wbStallCycles = machine.writeBuffer().stallCycles();
+            saveShard(keys[0], store::encodeMachineShard(shard));
+            finishMachine();
+        } else if (t.group != nullptr) {
+            if (obs::MetricRegistry *m = groupMetrics(t)) {
+                m->add("calls/sweep/replay/onepass");
+                m->add("replay/onepass_passes");
+                m->add("replay/onepass_slots", t.slots.size());
+                m->add("replay/batched_refs", t.group->delivered());
+            }
+            const std::vector<CacheStats> stats = t.group->stats();
+            for (std::size_t i = 0; i < t.slots.size(); ++i) {
+                result._stats[t.slots[i]] = stats[i];
+                saveShard(keys[1 + t.slots[i]],
+                          encodeComponentCounters(stats[i]));
+                finishSlot(t.slots[i]);
+            }
+        } else {
+            const std::size_t s = t.slots.front();
+            result._stats[s] = t.component->counters();
+            saveShard(keys[1 + s],
+                      encodeComponentCounters(result._stats[s]));
+            if (observation != nullptr) {
+                shards[1 + s].add("replay/batched_refs",
+                                  t.component->delivered());
+                shards[1 + s].add("replay/per_config_slots");
+            }
+            finishSlot(s);
+        }
+        t.machine.reset();
+        t.group.reset();
+        t.component.reset();
+    };
+
+    // Window k lives in buffers[k % 2] (or is the source's own
+    // recording): the producer of wave k writes the buffer the tasks
+    // of wave k read one wave later, never the one they step now.
+    const std::size_t last_wave = source.windows;
+    std::array<RecordedTrace, 2> buffers;
+    std::array<const RecordedTrace *, 2> windows{};
+    std::size_t wave = 0;
+    const auto waveItem = [&](std::size_t i) {
+        if (i == 0) {
+            if (wave < last_wave)
+                windows[wave % 2] = &source.fill(
+                    wave, buffers[wave % 2], producer_metrics);
+            return;
+        }
+        ReplayTask &t = tasks[i - 1];
+        if (wave == 0)
+            buildTask(t);
         else
-            replayPerConfig(t.slots.front());
+            stepTask(t, *windows[(wave - 1) % 2]);
+        if (wave == last_wave)
+            finishTask(t);
     };
 
-    // Between the phases, on the calling thread: record the trace if
-    // anything missed.
-    const auto bridge = [&] {
+    ThreadPool pool(threads);
+    const auto replayWaves = [&] {
         planTasks();
-        if (!tasks.empty())
-            trace = &fetch();
+        if (tasks.empty())
+            return;
+        for (wave = 0; wave <= last_wave; ++wave)
+            pool.parallelFor(0, 1 + tasks.size(), waveItem);
+        if (observation != nullptr)
+            observation->metrics.add("sweep/waves", last_wave + 1);
     };
 
     if (observation != nullptr) {
-        // Run on an explicit pool so its work counters can be
-        // exported alongside the component metrics.
         obs::MetricRegistry &m = observation->metrics;
-        ThreadPool pool(threads);
         if (store != nullptr) {
             obs::Span span(m, "sweep/load_shards");
             pool.parallelFor(0, 1 + n_slots, load);
         }
-        bridge();
         {
             obs::Span span(m, "sweep/replay");
-            pool.parallelFor(0, tasks.size(), body);
+            replayWaves();
         }
         obs::exportThreadPool(m, "threadpool", pool);
         for (const obs::MetricRegistry &shard : shards)
@@ -445,9 +526,8 @@ ComponentSweep::replayTrace(const TraceFetch &fetch, unsigned threads,
         m.add("sweep/replays");
     } else {
         if (store != nullptr)
-            parallelFor(threads, 0, 1 + n_slots, load);
-        bridge();
-        parallelFor(threads, 0, tasks.size(), body);
+            pool.parallelFor(0, 1 + n_slots, load);
+        replayWaves();
     }
 
     result.references = machine_shard.references;

@@ -331,24 +331,26 @@ struct SweepResult
  * Runs one workload/OS pair against banks of I-cache, D-cache and TLB
  * configurations simultaneously.
  *
- * The engine is record-then-replay throughout: the trace is captured
- * once into a compact RecordedTrace (serially, so the workload RNG
- * advances exactly as in a legacy single-pass run, with OS page
- * invalidations recorded inline at their trace position), then the
- * reference machine and every cache and TLB geometry replay the
- * recording on private simulator instances. RunConfig::threads picks
- * the lane count for the replays; serial (threads = 1) runs the same
- * per-configuration replays inline, so results are bitwise identical
- * for any thread count. A recording loaded from a v2 trace file can
- * be swept directly via the RecordedTrace overload.
+ * The engine records and replays in waves: one pool lane records the
+ * stream window by window into a compact RecordedTrace (in stream
+ * order, so the workload RNG advances exactly as in a legacy
+ * single-pass run, with OS page invalidations recorded inline at
+ * their trace position) while the other lanes step the reference
+ * machine and every cache and TLB simulator over the window recorded
+ * one wave earlier. Each simulator lives across waves and sees the
+ * whole stream in order, so results are bitwise identical for any
+ * thread count (threads = 1 runs the same waves inline). A recording
+ * loaded from a trace file is swept directly via the RecordedTrace
+ * overload, as one window.
  *
  * When RunConfig::storeDir (or OMA_STORE_DIR) enables the artifact
- * store, every completed replay shard persists as it is produced; the
- * recording itself is never stored. A warm rerun skips the record
- * phase entirely, a killed sweep re-records once and resumes at its
- * last completed shard, and a corrupt entry is quarantined and
- * transparently re-simulated. Cached runs reproduce live runs
- * bit-for-bit (tests/core/test_store_sweep.cc).
+ * store, every replay shard persists when its simulator finishes the
+ * last window; the recording itself is never stored. A warm rerun
+ * skips recording entirely, a killed sweep re-records once and
+ * resumes from its persisted shards, and a corrupt entry is
+ * quarantined and transparently re-simulated. Cached runs reproduce
+ * live runs bit-for-bit (tests/core/test_store_sweep.cc,
+ * tests/core/test_streamed_sweep.cc).
  */
 class ComponentSweep
 {
@@ -398,7 +400,7 @@ class ComponentSweep
 
     /**
      * Sweep an existing recording (e.g. System::record output or a
-     * readTrace()d v2 file) on @p threads lanes (0 = hardware, 1 =
+     * readTrace()d trace file) on @p threads lanes (0 = hardware, 1 =
      * serial). Reproduces the live-run SweepResult exactly when the
      * recording came from the same workload/OS/seed/length. Never
      * touches the artifact store: a bare recording carries no
@@ -409,11 +411,25 @@ class ComponentSweep
         obs::Observation *observation = nullptr) const;
 
   private:
-    /** Yields the sweep's recording; called at most once, on the
-     * calling thread, and only when some shard missed. */
-    using TraceFetch = std::function<const RecordedTrace &()>;
+    /**
+     * The stream phase B replays, as @c windows windows. fill(k,
+     * buffer, metrics) yields window k: a live recording fills
+     * @p buffer (restarted at k · RecordedTrace::chunkRefs) and
+     * returns it, a materialized recording is one window returned as
+     * is. It is called only when some shard missed, for k = 0, 1, …
+     * in order, each call on the producer lane of one wave; @p metrics
+     * is that lane's own registry, or null.
+     */
+    struct WindowSource
+    {
+        std::size_t windows = 1;
+        std::function<const RecordedTrace &(std::size_t k,
+                                            RecordedTrace &buffer,
+                                            obs::MetricRegistry *metrics)>
+            fill;
+    };
 
-    SweepResult replayTrace(const TraceFetch &fetch, unsigned threads,
+    SweepResult replayTrace(const WindowSource &source, unsigned threads,
                             obs::Observation *observation,
                             const ArtifactStore *store,
                             const Fingerprint &base_key) const;

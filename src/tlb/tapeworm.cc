@@ -69,7 +69,7 @@ FaTlbSweep::observe(const MemRef &ref)
         }
     }
 
-    if (_touched.insert(key).second) {
+    if (_touched.insert(key)) {
         if (kernel_seg)
             ++_coldKernel;
         else

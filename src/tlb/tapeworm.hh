@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "cache/cheetah.hh"
+#include "support/flat_set.hh"
 #include "tlb/mmu.hh"
 
 namespace oma
@@ -104,9 +105,7 @@ class FaTlbSweep
     std::uint64_t _coldKernel = 0;
     std::uint64_t _translations = 0;
     /** (vpn, asid) keys ever seen, for cold-miss classification. */
-    // oma-lint: allow(ordered-results): membership test via insert()
-    // only; never iterated, so traversal order cannot reach results.
-    std::unordered_set<std::uint64_t> _touched;
+    FlatU64Set _touched;
 };
 
 } // namespace oma

@@ -30,11 +30,24 @@ RecordedTrace::at(std::uint64_t i) const
 TraceChunkView
 RecordedTrace::chunkView(std::size_t c) const
 {
-    fatalIf(c >= _chunks.size(), "trace chunk index out of range");
+    fatalIf(c >= numChunks(), "trace chunk index out of range");
     const Chunk &chunk = _chunks[c];
     return {chunk.vaddr.data(), chunk.paddr.data(),
             chunk.asid.data(),  chunk.flags.data(),
-            chunk.size(),       std::uint64_t(c) * chunkRefs};
+            chunk.size(),       _base + std::uint64_t(c) * chunkRefs};
+}
+
+void
+RecordedTrace::restart(std::uint64_t base)
+{
+    panicIf(base % chunkRefs != 0,
+            "trace window base must be chunk-aligned");
+    for (Chunk &c : _chunks)
+        c.clear();
+    _events.clear();
+    _size = 0;
+    _base = base;
+    _otherCpi = 0.0;
 }
 
 void

@@ -29,6 +29,14 @@
  *   surviving the kseg1 (uncached) filter. One recording therefore
  *   replaces the three redundant per-consumer vectors the sweep
  *   engine used to materialize.
+ *
+ * * *Windows.* A recording may also hold one window of a longer
+ *   stream: restart() empties it (keeping its storage) and numbers
+ *   its next reference at a stream-wide @c base, so its chunk views
+ *   and events carry stream-wide indices and a consumer can step
+ *   through the stream window by window (the streamed sweep,
+ *   docs/MODEL.md §10). Trace files and codecs carry whole
+ *   recordings (base 0).
  */
 
 #ifndef OMA_TRACE_RECORDED_HH
@@ -93,9 +101,10 @@ class RecordedTrace
     append(const MemRef &ref)
     {
         checkEncodable(ref);
-        if (_chunks.empty() || _chunks.back().size() >= chunkRefs)
+        const std::size_t chunk = std::size_t(_size / chunkRefs);
+        if (chunk == _chunks.size())
             newChunk();
-        Chunk &c = _chunks.back();
+        Chunk &c = _chunks[chunk];
         c.vaddr.push_back(std::uint32_t(ref.vaddr));
         c.paddr.push_back(std::uint32_t(ref.paddr));
         c.asid.push_back(std::uint8_t(ref.asid));
@@ -109,8 +118,16 @@ class RecordedTrace
     recordInvalidation(std::uint64_t vpn, std::uint32_t asid,
                        bool global)
     {
-        _events.push_back({_size, vpn, asid, global});
+        _events.push_back({_base + _size, vpn, asid, global});
     }
+
+    /**
+     * Empty the recording, keeping its chunk storage, and number its
+     * next appended reference @p base: it now holds the window of a
+     * longer stream that starts there. @p base must be a multiple of
+     * chunkRefs so window chunks align with the stream's.
+     */
+    void restart(std::uint64_t base);
 
     /** Attach the stream's configuration-independent non-memory
      * stall rate (System::otherCpiSoFar at the end of recording). */
@@ -118,7 +135,11 @@ class RecordedTrace
 
     // ----- inspection -----
 
+    /** References held (the window's, for a restarted recording). */
     [[nodiscard]] std::uint64_t size() const { return _size; }
+    /** Stream-wide index of the first reference held (0 unless
+     * restarted). */
+    [[nodiscard]] std::uint64_t base() const { return _base; }
     [[nodiscard]] bool empty() const { return _size == 0; }
     [[nodiscard]] const std::vector<TraceEvent> &events() const
     {
@@ -126,14 +147,14 @@ class RecordedTrace
     }
     [[nodiscard]] double otherCpi() const { return _otherCpi; }
 
-    /** Decode the reference at index @p i (exact round trip; fatal
+    /** Decode the @p i -th reference held (exact round trip; fatal
      * when @p i is out of range). */
     [[nodiscard]] MemRef at(std::uint64_t i) const;
 
     /** Number of storage chunks (0 for an empty trace). */
     [[nodiscard]] std::size_t numChunks() const
     {
-        return _chunks.size();
+        return std::size_t((_size + chunkRefs - 1) / chunkRefs);
     }
 
     /** Borrow the packed columns of chunk @p c (fatal when @p c is
@@ -181,7 +202,7 @@ class RecordedTrace
     replay(RefFn &&onRef, EvFn &&onEvent) const
     {
         std::size_t e = 0;
-        std::uint64_t index = 0;
+        std::uint64_t index = _base;
         for (const Chunk &c : _chunks) {
             for (std::size_t i = 0; i < c.size(); ++i, ++index) {
                 while (e < _events.size() && _events[e].index == index)
@@ -256,6 +277,15 @@ class RecordedTrace
         std::vector<std::uint8_t> flags;
 
         std::size_t size() const { return vaddr.size(); }
+
+        void
+        clear()
+        {
+            vaddr.clear();
+            paddr.clear();
+            asid.clear();
+            flags.clear();
+        }
     };
 
     static MemRef
@@ -274,6 +304,7 @@ class RecordedTrace
     std::vector<Chunk> _chunks;
     std::vector<TraceEvent> _events;
     std::uint64_t _size = 0;
+    std::uint64_t _base = 0;
     double _otherCpi = 0.0;
 };
 

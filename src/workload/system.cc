@@ -181,19 +181,25 @@ RecordedTrace
 System::record(std::uint64_t max_refs)
 {
     RecordedTrace trace;
+    recordInto(trace, max_refs);
+    return trace;
+}
+
+void
+System::recordInto(RecordedTrace &trace, std::uint64_t refs)
+{
     setInvalidateHook(
         [&trace](std::uint64_t vpn, std::uint32_t asid, bool global) {
             trace.recordInvalidation(vpn, asid, global);
         });
     MemRef ref;
     std::uint64_t consumed = 0;
-    while (consumed < max_refs && next(ref)) {
+    while (consumed < refs && next(ref)) {
         trace.append(ref);
         ++consumed;
     }
     setInvalidateHook(nullptr);
     trace.setOtherCpi(otherCpiSoFar());
-    return trace;
 }
 
 double

@@ -41,6 +41,16 @@ class System : public TraceSource
      */
     RecordedTrace record(std::uint64_t max_refs);
 
+    /**
+     * Append the next @p refs references of the stream to @p trace,
+     * as record() does, and attach the non-memory stall rate so far.
+     * Successive calls into restart()ed windows cut the stream
+     * exactly as one record() would: each call stops right after its
+     * last append, never pulling the next reference, so every
+     * invalidation it records is pinned inside @p trace.
+     */
+    void recordInto(RecordedTrace &trace, std::uint64_t refs);
+
     /** Forwarded to the OS model (MMU page invalidations). */
     void
     setInvalidateHook(OsModel::InvalidateHook hook)

@@ -21,6 +21,7 @@
 #include "obs/export.hh"
 #include "obs/report.hh"
 #include "support/json.hh"
+#include "workload/system.hh"
 
 namespace oma
 {
@@ -190,6 +191,42 @@ TEST(ObservedSweep, CountersMatchTheSweepResultTheyDescribe)
     EXPECT_EQ(m.counter("calls/sweep/record"), 1u);
     EXPECT_EQ(m.counter("calls/sweep/replay"), 1u);
     EXPECT_GE(m.gauge("time_ms/sweep/replay"), 0.0);
+}
+
+TEST(ObservedSweep, ColdSweepRecordsOnceAcrossItsWaves)
+{
+    // A stream of four windows: one recording, produced a window per
+    // wave alongside the replay, and five waves (build, then one per
+    // window). Observation changes nothing, at 1 and at 4 threads.
+    const ComponentSweep sweep = sweepUnderTest();
+    RunConfig rc = runConfig(1);
+    rc.references = 3 * RecordedTrace::chunkRefs + 17;
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        rc.threads = threads;
+        const SweepResult plain =
+            sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach, rc);
+        obs::Observation observation;
+        const SweepResult observed =
+            sweep.run(benchmarkParams(BenchmarkId::Mab), OsKind::Mach, rc,
+                      &observation);
+        expectSameSweepResult(plain, observed);
+        const obs::MetricRegistry &m = observation.metrics;
+        EXPECT_EQ(m.counter("sweep/records"), 1u);
+        EXPECT_EQ(m.counter("calls/sweep/record"), 1u);
+        EXPECT_EQ(m.counter("sweep/waves"), 5u);
+        EXPECT_EQ(m.counter("trace/references"), rc.references);
+        EXPECT_GT(m.gauge("time_ms/sweep/record"), 0.0);
+    }
+
+    // A materialized recording is one window: two waves, no record.
+    obs::Observation replayed;
+    (void)sweep.run(System(benchmarkParams(BenchmarkId::Mab), OsKind::Mach,
+                           42)
+                        .record(1000),
+                    4, &replayed);
+    EXPECT_EQ(replayed.metrics.counter("sweep/waves"), 2u);
+    EXPECT_EQ(replayed.metrics.counter("sweep/records"), 0u);
 }
 
 TEST(ObservedSweep, ProgressTicksOncePerTask)
